@@ -193,34 +193,37 @@ fn cloud_config_entries(p: &Parsed) -> Result<Vec<(String, String)>, ArgError> {
     ])
 }
 
+/// `--rate`: mean Poisson arrivals per second, finite and positive.
+fn rate_arg(p: &Parsed) -> Result<f64, ArgError> {
+    let rate = p.num_or("rate", 0.5f64)?;
+    if rate.is_finite() && rate > 0.0 {
+        Ok(rate)
+    } else {
+        Err(ArgError::new(format!(
+            "--rate must be a finite positive number, got {rate}"
+        )))
+    }
+}
+
 /// The recorder a command records into: the single-threaded
 /// [`MemRecorder`] normally, the thread-safe [`ShardedRecorder`] when
 /// `--placement-threads` enables a parallel seed scan — scan workers then
 /// record per-thread chunk telemetry instead of tripping the
 /// `placement.recorder_unsync` fallback — and the bounded-memory
 /// [`StreamingRecorder`] when `--stream-out` spills the event stream to
-/// a JSONL file as it happens. Stream artefacts (trace/metrics/series)
-/// are produced by replaying the flushed file, so what you export is
-/// exactly what a later `report --stream` will see.
+/// a JSONL file as it happens. Every variant finishes into one
+/// [`MergedTrace`]; a stream's is replayed from the flushed file, so
+/// what you export is exactly what a later `report --stream` will see.
 enum CliRecorder {
     Mem(MemRecorder),
     Sharded(ShardedRecorder),
     Stream {
-        rec: Option<StreamingRecorder<BufWriter<File>>>,
+        rec: StreamingRecorder<BufWriter<File>>,
         path: String,
-        merged: Option<MergedTrace>,
     },
 }
 
 impl CliRecorder {
-    fn for_threads(threads: usize) -> Self {
-        if threads == 1 {
-            Self::Mem(MemRecorder::new())
-        } else {
-            Self::Sharded(ShardedRecorder::new())
-        }
-    }
-
     /// Select the recorder for a run: `--stream-out` wins (it is
     /// thread-safe, so it also serves parallel seed scans), otherwise
     /// thread count decides. A stream opens with the run manifest as a
@@ -229,7 +232,8 @@ impl CliRecorder {
     /// header; `manifest_from_jsonl` extracts it).
     fn build(p: &Parsed, threads: usize, manifest: &RunManifest) -> Result<Self, ArgError> {
         match p.str_or("stream-out", "") {
-            "" => Ok(Self::for_threads(threads)),
+            "" if threads == 1 => Ok(Self::Mem(MemRecorder::new())),
+            "" => Ok(Self::Sharded(ShardedRecorder::new())),
             path => {
                 let mut file = File::create(path)
                     .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
@@ -238,9 +242,8 @@ impl CliRecorder {
                 writeln!(file, "{header}")
                     .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
                 Ok(Self::Stream {
-                    rec: Some(StreamingRecorder::new(BufWriter::new(file))),
+                    rec: StreamingRecorder::new(BufWriter::new(file)),
                     path: path.to_string(),
-                    merged: None,
                 })
             }
         }
@@ -250,81 +253,22 @@ impl CliRecorder {
         match self {
             Self::Mem(r) => r,
             Self::Sharded(r) => r,
-            Self::Stream { rec, .. } => rec.as_ref().expect("stream recorder already finished"),
+            Self::Stream { rec, .. } => rec,
         }
     }
 
-    /// Finish the stream (flush every buffer to disk) and replay the
-    /// file into a [`MergedTrace`], memoized. Only valid on `Stream`.
-    fn stream_merged(&mut self) -> Result<&MergedTrace, ArgError> {
-        let Self::Stream { rec, path, merged } = self else {
-            unreachable!("stream_merged on a non-stream recorder")
-        };
-        if merged.is_none() {
-            let r = rec.take().expect("stream recorder already finished");
-            let mut writer = r
-                .finish()
-                .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
-            writer
-                .flush()
-                .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
-            drop(writer);
-            let text = std::fs::read_to_string(&*path)
-                .map_err(|e| ArgError::new(format!("--stream-out {path}: I/O error: {e}")))?;
-            let m = vc_obs::replay_jsonl(&text)
-                .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
-            *merged = Some(m);
-        }
-        Ok(merged.as_ref().expect("just memoized"))
-    }
-
-    fn trace_doc(&mut self) -> Result<serde_json::Value, ArgError> {
+    /// The merged view of the run. A stream is flushed to disk and the
+    /// file replayed, which also validates it end to end.
+    fn finish(self) -> Result<MergedTrace, ArgError> {
         match self {
-            Self::Mem(r) => Ok(vc_obs::chrome_trace(r)),
-            Self::Sharded(r) => Ok(vc_obs::chrome_trace_sharded(r)),
-            Self::Stream { .. } => {
-                let m = self.stream_merged()?;
-                Ok(vc_obs::trace::chrome_trace_parts(
-                    &m.spans,
-                    &m.events,
-                    &m.track_names,
-                    &m.counter_series,
-                ))
-            }
-        }
-    }
-
-    fn metrics(&mut self) -> Result<MetricsSnapshot, ArgError> {
-        match self {
-            Self::Mem(r) => Ok(r.metrics()),
-            Self::Sharded(r) => Ok(r.merged().metrics),
-            Self::Stream { .. } => Ok(self.stream_merged()?.metrics.clone()),
-        }
-    }
-
-    /// The `ts.*` windowed series this run recorded.
-    fn timeseries(&mut self) -> Result<TimeSeriesSet, ArgError> {
-        match self {
-            Self::Mem(r) => Ok(TimeSeriesSet::from_counter_series(&r.counter_series())),
-            Self::Sharded(r) => Ok(TimeSeriesSet::from_counter_series(
-                &r.merged().counter_series,
-            )),
-            Self::Stream { .. } => Ok(TimeSeriesSet::from_counter_series(
-                &self.stream_merged()?.counter_series,
-            )),
-        }
-    }
-
-    fn span_event_counts(&mut self) -> Result<(usize, usize), ArgError> {
-        match self {
-            Self::Mem(r) => Ok((r.spans().len(), r.events().len())),
-            Self::Sharded(r) => {
-                let m = r.merged();
-                Ok((m.spans.len(), m.events.len()))
-            }
-            Self::Stream { .. } => {
-                let m = self.stream_merged()?;
-                Ok((m.spans.len(), m.events.len()))
+            Self::Mem(r) => Ok(r.into_trace()),
+            Self::Sharded(r) => Ok(r.into_trace()),
+            Self::Stream { rec, path } => {
+                let err = |e: String| ArgError::new(format!("--stream-out {path}: {e}"));
+                rec.finish().map_err(|e| err(e.to_string()))?;
+                let text =
+                    std::fs::read_to_string(&path).map_err(|e| err(format!("I/O error: {e}")))?;
+                vc_obs::replay_jsonl(&text).map_err(err)
             }
         }
     }
@@ -339,15 +283,14 @@ impl CliRecorder {
 /// `.csv`, else JSONL).
 fn write_observability(
     p: &Parsed,
-    rec: &mut CliRecorder,
+    trace: &MergedTrace,
     manifest: &RunManifest,
     doc: Option<&serde_json::Value>,
 ) -> Result<(), ArgError> {
     match p.str_or("trace-out", "") {
         "" => {}
         path => {
-            let doc = rec.trace_doc()?;
-            vc_obs::trace::save_trace_value(&doc, path)
+            vc_obs::trace::save_trace_value(&trace.chrome_trace(), path)
                 .map_err(|e| ArgError::new(format!("--trace-out {path}: {e}")))?;
         }
     }
@@ -355,12 +298,12 @@ fn write_observability(
         "" => {}
         path => {
             let text = if path.ends_with(".csv") {
-                rec.metrics()?.to_csv()
+                trace.metrics.to_csv()
             } else {
                 match doc {
                     Some(doc) => serde_json::to_string_pretty(doc)
                         .map_err(|e| ArgError::new(e.to_string()))?,
-                    None => rec.metrics()?.to_json_string(),
+                    None => trace.metrics.to_json_string(),
                 }
             };
             std::fs::write(path, text)
@@ -372,11 +315,11 @@ fn write_observability(
         "" => {}
         path => {
             let series = if window_us > 0 {
-                rec.timeseries()?
+                TimeSeriesSet::from_counter_series(&trace.counter_series)
             } else {
                 TimeSeriesSet::default()
             };
-            let mut text = vc_obs::to_prometheus_windowed(&rec.metrics()?, window_us, &series);
+            let mut text = vc_obs::to_prometheus_windowed(&trace.metrics, window_us, &series);
             text.push_str(&manifest.to_prom_info());
             std::fs::write(path, text)
                 .map_err(|e| ArgError::new(format!("--prom-out {path}: {e}")))?;
@@ -385,7 +328,7 @@ fn write_observability(
     match p.str_or("series-out", "") {
         "" => {}
         path => {
-            let set = rec.timeseries()?;
+            let set = TimeSeriesSet::from_counter_series(&trace.counter_series);
             let text = if path.ends_with(".csv") {
                 set.to_csv()
             } else {
@@ -395,11 +338,6 @@ fn write_observability(
                 .map_err(|e| ArgError::new(format!("--series-out {path}: {e}")))?;
         }
     }
-    // A stream must hit the disk even when no other artefact asked for
-    // it; replaying also validates the flushed file end-to-end.
-    if let CliRecorder::Stream { .. } = rec {
-        rec.stream_merged()?;
-    }
     Ok(())
 }
 
@@ -407,15 +345,14 @@ fn write_observability(
 /// per-job critical-path attribution, and (when `--window-us` sampled)
 /// the windowed `ts.*` series. This is the unit `vc diff` aligns.
 fn run_document(
-    rec: &mut CliRecorder,
+    trace: &MergedTrace,
     manifest: &RunManifest,
 ) -> Result<serde_json::Value, ArgError> {
-    let serde_json::Value::Object(mut entries) = rec.metrics()?.to_json() else {
+    let serde_json::Value::Object(mut entries) = trace.metrics.to_json() else {
         return Err(ArgError::new("internal: metrics snapshot is not an object"));
     };
     entries.push((MANIFEST_KEY.to_string(), manifest.to_json()));
-    let trace = rec.trace_doc()?;
-    let dump = TraceDump::from_chrome_value(&trace)
+    let dump = TraceDump::from_chrome_value(&trace.chrome_trace())
         .map_err(|e| ArgError::new(format!("internal trace: {e}")))?;
     let jobs = vc_obs::analyze(&dump);
     entries.push((
@@ -426,7 +363,7 @@ fn run_document(
         )]),
     ));
     if manifest.window_us > 0 {
-        let set = rec.timeseries()?;
+        let set = TimeSeriesSet::from_counter_series(&trace.counter_series);
         let series: Vec<(String, serde_json::Value)> = set
             .series
             .iter()
@@ -480,23 +417,22 @@ fn run_recorded_command<T>(
     capture: bool,
     body: impl FnOnce(&dyn Recorder) -> T,
 ) -> Result<RecordedRun<T>, ArgError> {
-    let mut rec = CliRecorder::build(p, threads, manifest)?;
+    let rec = CliRecorder::build(p, threads, manifest)?;
     let result = body(rec.as_recorder());
+    let trace = rec.finish()?;
     let metrics_path = p.str_or("metrics-out", "");
     let want_doc = capture || (!metrics_path.is_empty() && !metrics_path.ends_with(".csv"));
     let doc = if want_doc {
-        Some(run_document(&mut rec, manifest)?)
+        Some(run_document(&trace, manifest)?)
     } else {
         None
     };
-    write_observability(p, &mut rec, manifest, doc.as_ref())?;
-    let metrics = rec.metrics()?;
-    let (spans, events) = rec.span_event_counts()?;
+    write_observability(p, &trace, manifest, doc.as_ref())?;
     Ok(RecordedRun {
         result,
-        metrics,
-        spans,
-        events,
+        spans: trace.spans.len(),
+        events: trace.events.len(),
+        metrics: trace.metrics,
         doc,
     })
 }
@@ -611,10 +547,16 @@ pub fn simulate_job(p: &Parsed) -> Result<String, ArgError> {
         num_reducers: reducers,
         replication: 3,
     };
+    let straggler_prob = p.num_or("straggler-prob", 0.0f64)?;
+    if !(0.0..=1.0).contains(&straggler_prob) {
+        return Err(ArgError::new(format!(
+            "--straggler-prob must be a probability in [0, 1], got {straggler_prob}"
+        )));
+    }
     let params = SimParams {
         net: NetworkParams::default(),
         seed: p.num_or("seed", 0u64)?,
-        straggler_prob: p.num_or("straggler-prob", 0.0f64)?,
+        straggler_prob,
         speculative_execution: p.switch("speculative"),
         ..SimParams::default()
     };
@@ -710,10 +652,7 @@ pub fn simulate_queue(p: &Parsed) -> Result<String, ArgError> {
     ])?;
     let cloud = build_cloud(p)?;
     let count = p.num_or("requests", 20usize)?;
-    let rate = p.num_or("rate", 0.5f64)?;
-    if rate <= 0.0 {
-        return Err(ArgError::new("--rate must be positive"));
-    }
+    let rate = rate_arg(p)?;
     let seed = p.num_or("seed", 0u64)?;
     let trace = match p.str_or("trace", "") {
         "" => {
@@ -854,10 +793,7 @@ fn simulate_impl(
     ])?;
     let cloud = build_cloud(p)?;
     let count = p.num_or("requests", 10usize)?;
-    let rate = p.num_or("rate", 0.5f64)?;
-    if rate <= 0.0 {
-        return Err(ArgError::new("--rate must be positive"));
-    }
+    let rate = rate_arg(p)?;
     let seed = match seed_override {
         Some(s) => s,
         None => p.num_or("seed", 0u64)?,
@@ -1924,12 +1860,7 @@ pub fn report(p: &Parsed) -> Result<String, ArgError> {
             .map_err(|e| ArgError::new(format!("--stream {stream_path}: I/O error: {e}")))?;
         let m = vc_obs::replay_jsonl(&text)
             .map_err(|e| ArgError::new(format!("--stream {stream_path}: {e}")))?;
-        Some(vc_obs::trace::chrome_trace_parts(
-            &m.spans,
-            &m.events,
-            &m.track_names,
-            &m.counter_series,
-        ))
+        Some(m.chrome_trace())
     } else if !trace_path.is_empty() {
         let text = std::fs::read_to_string(trace_path)
             .map_err(|e| ArgError::new(format!("--trace {trace_path}: I/O error: {e}")))?;

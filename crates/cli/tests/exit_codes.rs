@@ -392,3 +392,29 @@ fn diff_gate_trips_on_regression_with_greppable_verdict() {
     assert!(err.contains("diff gate: FAIL"), "{err}");
     assert!(err.contains("regression"), "{err}");
 }
+
+#[test]
+fn non_finite_or_non_positive_rate_exits_one() {
+    for cmd in ["simulate", "simulate-queue"] {
+        for rate in ["nan", "NaN", "inf", "-inf", "0", "-1"] {
+            let out = run(&[cmd, "--rate", rate, "--requests", "5"]);
+            assert_eq!(out.status.code(), Some(1), "{cmd} --rate {rate}");
+            let err = stderr(&out);
+            assert!(err.contains("--rate"), "{cmd} --rate {rate}: {err}");
+        }
+    }
+}
+
+#[test]
+fn straggler_prob_outside_unit_interval_exits_one() {
+    for prob in ["2", "-0.5", "1.5", "nan", "inf"] {
+        let out = run(&["simulate-job", "--straggler-prob", prob]);
+        assert_eq!(out.status.code(), Some(1), "--straggler-prob {prob}");
+        let err = stderr(&out);
+        assert!(err.contains("--straggler-prob"), "{prob}: {err}");
+    }
+    for prob in ["0", "1", "0.25"] {
+        let out = run(&["simulate-job", "--maps", "4", "--straggler-prob", prob]);
+        assert_eq!(out.status.code(), Some(0), "{prob}: {}", stderr(&out));
+    }
+}

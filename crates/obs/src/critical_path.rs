@@ -29,7 +29,8 @@ use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
 
-use crate::recorder::{AttrValue, EventRecord, SpanRecord};
+use crate::recorder::{EventRecord, SpanRecord};
+use crate::trace::attr_value_json;
 
 /// Owned, analysis-friendly copy of one recorded span. Unlike
 /// [`SpanRecord`] the name is a `String`, so dumps parsed back from
@@ -79,27 +80,16 @@ impl DumpEvent {
     }
 }
 
-/// A recorder dump decoupled from the recorder: buildable from a live
-/// [`MemRecorder`]/[`ShardedRecorder`] or parsed back from a
-/// `--trace-out` Chrome trace file.
+/// A recorder dump decoupled from the recorder: buildable from recorder
+/// buffers (a live [`MemRecorder`] or a [`MergedTrace`]) or parsed back
+/// from a `--trace-out` Chrome trace file.
 ///
 /// [`MemRecorder`]: crate::recorder::MemRecorder
-/// [`ShardedRecorder`]: crate::sharded::ShardedRecorder
+/// [`MergedTrace`]: crate::sharded::MergedTrace
 #[derive(Clone, Debug, Default)]
 pub struct TraceDump {
     pub spans: Vec<DumpSpan>,
     pub events: Vec<DumpEvent>,
-}
-
-fn attr_to_value(v: &AttrValue) -> Value {
-    match v {
-        AttrValue::U64(x) => json!(*x),
-        AttrValue::I64(x) => json!(*x),
-        AttrValue::F64(x) => json!(*x),
-        AttrValue::Bool(x) => json!(*x),
-        AttrValue::Str(s) => json!(*s),
-        AttrValue::Owned(s) => json!(s.as_str()),
-    }
 }
 
 impl TraceDump {
@@ -115,7 +105,7 @@ impl TraceDump {
                 attrs: s
                     .attrs
                     .iter()
-                    .map(|(k, v)| (k.to_string(), attr_to_value(v)))
+                    .map(|(k, v)| (k.to_string(), attr_value_json(v)))
                     .collect(),
                 unterminated: s.end_us.is_none(),
             })
@@ -129,7 +119,7 @@ impl TraceDump {
                 attrs: e
                     .attrs
                     .iter()
-                    .map(|(k, v)| (k.to_string(), attr_to_value(v)))
+                    .map(|(k, v)| (k.to_string(), attr_value_json(v)))
                     .collect(),
             })
             .collect();
@@ -138,11 +128,6 @@ impl TraceDump {
 
     pub fn from_mem(rec: &crate::recorder::MemRecorder) -> Self {
         Self::from_records(&rec.spans(), &rec.events())
-    }
-
-    pub fn from_sharded(rec: &crate::sharded::ShardedRecorder) -> Self {
-        let merged = rec.merged();
-        Self::from_records(&merged.spans, &merged.events)
     }
 
     /// Parse a Chrome trace-event document (the `--trace-out` format)
@@ -566,6 +551,7 @@ pub fn analyze(dump: &TraceDump) -> Vec<JobAttribution> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::AttrValue;
 
     fn span(track: u64, name: &str, start: u64, end: u64, attrs: &[(&str, Value)]) -> DumpSpan {
         DumpSpan {

@@ -54,4 +54,4 @@ pub use recorder::{
 pub use sharded::{MergedTrace, ShardedRecorder};
 pub use stream::{manifest_from_jsonl, replay_jsonl, StreamingRecorder};
 pub use timeseries::{TimeSeriesSet, WindowSampler, TS_PREFIX};
-pub use trace::{chrome_trace, chrome_trace_sharded};
+pub use trace::chrome_trace;

@@ -5,6 +5,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::sharded::MergedTrace;
 
 /// Timeline lane for spans — by convention one track per VM, with
 /// reserved tracks for schedulers/queues registered via
@@ -173,87 +174,9 @@ pub trait Recorder {
     }
 }
 
-/// Forwarding impls so instrumented code generic over `R: Recorder` also
-/// accepts `&R`, `&dyn Recorder`, and boxed recorders.
+/// Forwarding impl so instrumented code generic over `R: Recorder` also
+/// accepts `&R` and `&dyn Recorder`.
 impl<R: Recorder + ?Sized> Recorder for &R {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        (**self).counter_add(name, delta)
-    }
-    fn gauge_set(&self, name: &'static str, value: f64) {
-        (**self).gauge_set(name, value)
-    }
-    fn gauge_max(&self, name: &'static str, value: f64) {
-        (**self).gauge_max(name, value)
-    }
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        (**self).histogram_record(name, value)
-    }
-    fn counter_sample(&self, name: &'static str, t_us: u64, value: f64) {
-        (**self).counter_sample(name, t_us, value)
-    }
-    fn track_name(&self, track: TrackId, name: &str) {
-        (**self).track_name(track, name)
-    }
-    fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        (**self).event(name, t_us, track, attrs)
-    }
-    fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
-        (**self).span_begin(track, name, t_us, attrs)
-    }
-    fn span_end(&self, span: SpanId, t_us: u64) {
-        (**self).span_end(span, t_us)
-    }
-    fn span_attr(&self, span: SpanId, key: &'static str, value: AttrValue) {
-        (**self).span_attr(span, key, value)
-    }
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        (**self).as_sync()
-    }
-}
-
-impl<R: Recorder + ?Sized> Recorder for std::rc::Rc<R> {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        (**self).counter_add(name, delta)
-    }
-    fn gauge_set(&self, name: &'static str, value: f64) {
-        (**self).gauge_set(name, value)
-    }
-    fn gauge_max(&self, name: &'static str, value: f64) {
-        (**self).gauge_max(name, value)
-    }
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        (**self).histogram_record(name, value)
-    }
-    fn counter_sample(&self, name: &'static str, t_us: u64, value: f64) {
-        (**self).counter_sample(name, t_us, value)
-    }
-    fn track_name(&self, track: TrackId, name: &str) {
-        (**self).track_name(track, name)
-    }
-    fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        (**self).event(name, t_us, track, attrs)
-    }
-    fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
-        (**self).span_begin(track, name, t_us, attrs)
-    }
-    fn span_end(&self, span: SpanId, t_us: u64) {
-        (**self).span_end(span, t_us)
-    }
-    fn span_attr(&self, span: SpanId, key: &'static str, value: AttrValue) {
-        (**self).span_attr(span, key, value)
-    }
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        (**self).as_sync()
-    }
-}
-
-impl<R: Recorder + ?Sized> Recorder for std::sync::Arc<R> {
     fn enabled(&self) -> bool {
         (**self).enabled()
     }
@@ -340,32 +263,6 @@ struct MemInner {
     /// `stream::replay_jsonl`) even when overlapping jobs emit the same
     /// series at out-of-order timestamps.
     sample_last_t: BTreeMap<&'static str, u64>,
-    /// Soft cap on buffered trace items (events + spans + series
-    /// points). `None` = unbounded.
-    trace_cap: Option<usize>,
-    trace_items: usize,
-    overflowed: bool,
-}
-
-impl MemInner {
-    /// Whether one more trace item may be buffered. On the first refusal
-    /// records the one-time `obs.recorder.overflow` counter. Metrics are
-    /// never dropped — only spans, events, and series points are.
-    fn admit_trace_item(&mut self) -> bool {
-        match self.trace_cap {
-            Some(cap) if self.trace_items >= cap => {
-                if !self.overflowed {
-                    self.overflowed = true;
-                    self.metrics.counter_add("obs.recorder.overflow", 1);
-                }
-                false
-            }
-            _ => {
-                self.trace_items += 1;
-                true
-            }
-        }
-    }
 }
 
 /// Buffering recorder for single-threaded simulations. Interior
@@ -379,22 +276,6 @@ pub struct MemRecorder {
 impl MemRecorder {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A recorder that buffers at most `cap` trace items (events, spans,
-    /// and counter-series points combined). Past the cap, trace items
-    /// are dropped — `span_begin` returns [`SpanId::NULL`] — and the
-    /// one-time `obs.recorder.overflow` counter is set; metrics
-    /// (counters/gauges/histograms) are always recorded in full.
-    pub fn with_trace_cap(cap: usize) -> Self {
-        let r = Self::default();
-        r.inner.borrow_mut().trace_cap = Some(cap);
-        r
-    }
-
-    /// True once the trace cap has dropped at least one item.
-    pub fn overflowed(&self) -> bool {
-        self.inner.borrow().overflowed
     }
 
     pub fn events(&self) -> Vec<EventRecord> {
@@ -420,6 +301,19 @@ impl MemRecorder {
 
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.borrow().metrics.snapshot()
+    }
+    /// The recorded run as a [`MergedTrace`], moving the buffers out
+    /// rather than cloning them.
+    pub fn into_trace(self) -> MergedTrace {
+        let inner = self.inner.into_inner();
+        MergedTrace {
+            spans: inner.spans,
+            events: inner.events,
+            track_names: inner.track_names,
+            counter_series: inner.counter_series,
+            metrics: inner.metrics.snapshot(),
+            open_spans: inner.open.len(),
+        }
     }
 }
 
@@ -461,13 +355,11 @@ impl Recorder for MemRecorder {
         if apply {
             inner.metrics.gauge_set(name, value);
         }
-        if inner.admit_trace_item() {
-            inner
-                .counter_series
-                .entry(name)
-                .or_default()
-                .push((t_us, value));
-        }
+        inner
+            .counter_series
+            .entry(name)
+            .or_default()
+            .push((t_us, value));
     }
 
     fn track_name(&self, track: TrackId, name: &str) {
@@ -478,11 +370,7 @@ impl Recorder for MemRecorder {
     }
 
     fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.admit_trace_item() {
-            return;
-        }
-        inner.events.push(EventRecord {
+        self.inner.borrow_mut().events.push(EventRecord {
             name,
             t_us,
             track,
@@ -492,9 +380,6 @@ impl Recorder for MemRecorder {
 
     fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
         let mut inner = self.inner.borrow_mut();
-        if !inner.admit_trace_item() {
-            return SpanId::NULL;
-        }
         inner.next_span += 1;
         let id = SpanId(inner.next_span);
         let index = inner.spans.len();
@@ -566,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn works_through_dyn_and_rc() {
+    fn works_through_dyn() {
         let mem = MemRecorder::new();
         let r: &dyn Recorder = &mem;
         let s = r.span_begin(TrackId(0), "x", 0, &[]);
@@ -574,9 +459,6 @@ mod tests {
         r.counter_add("n", 2);
         assert_eq!(mem.spans().len(), 1);
         assert_eq!(mem.metrics().counters["n"], 2);
-
-        let rc: std::rc::Rc<dyn Recorder> = std::rc::Rc::new(MemRecorder::new());
-        rc.counter_add("k", 1);
     }
 
     #[test]
@@ -604,35 +486,5 @@ mod tests {
         assert_eq!(r.metrics().gauges["util"], 0.2);
         // The series itself keeps every point in arrival order.
         assert_eq!(r.counter_series()["util"].len(), 4);
-    }
-
-    #[test]
-    fn trace_cap_drops_trace_items_never_metrics() {
-        let r = MemRecorder::with_trace_cap(2);
-        r.event("a", 0, None, &[]);
-        let s = r.span_begin(TrackId(0), "kept", 1, &[]);
-        assert!(!s.is_null());
-        r.span_end(s, 2);
-        assert!(!r.overflowed());
-
-        // Cap reached: trace items are dropped from here on.
-        r.event("b", 3, None, &[]);
-        let dropped = r.span_begin(TrackId(0), "dropped", 4, &[]);
-        assert!(dropped.is_null());
-        r.counter_sample("q", 5, 1.0);
-        assert!(r.overflowed());
-        assert_eq!(r.events().len(), 1);
-        assert_eq!(r.spans().len(), 1);
-        assert!(r.counter_series().is_empty());
-
-        // Metrics still record in full, plus the one-time overflow mark.
-        r.counter_add("c", 7);
-        r.histogram_record("h", 9);
-        let m = r.metrics();
-        assert_eq!(m.counters["c"], 7);
-        assert_eq!(m.counters["obs.recorder.overflow"], 1);
-        assert_eq!(m.histograms["h"].count, 1);
-        // counter_sample past the cap still updates the gauge.
-        assert_eq!(m.gauges["q"], 1.0);
     }
 }

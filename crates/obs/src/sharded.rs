@@ -1,22 +1,38 @@
-//! [`ShardedRecorder`]: a thread-safe buffering recorder.
+//! The op-log recorder core: one thread-safe [`Recorder`] impl, two sinks.
 //!
-//! Each thread appends to its own shard (an op-log behind a short-lived
-//! mutex that is never contended across threads), so parallel code —
-//! notably the Algorithm-1 seed scan workers in `vc-placement` — can
+//! [`OpLog`] turns every recorder call into an `Op`, stamps it with a
+//! sim-time and a recorder-wide sequence number, and hands it to the
+//! calling thread's shard: a buffer behind a short-lived mutex that is
+//! never contended across threads. Parallel code — notably the
+//! Algorithm-1 seed scan workers in `vc-placement` — can therefore
 //! record spans and counters without a global lock on the hot path.
-//! Span ids and a global sequence number come from shared atomics, so
-//! at flush time the per-thread logs merge into one deterministic
-//! timeline ordered by `(t_us, seq)`: the sequence number is a total
-//! order consistent with each thread's program order *and* with any
-//! cross-thread happens-before edge, so a begin always replays before
-//! its end.
+//! Ops that carry no timestamp of their own (counters, span attributes)
+//! inherit the shard's high-water timestamp. Span ids and the sequence
+//! number come from shared atomics, so `(t_us, seq)` is a total order
+//! consistent with each thread's program order *and* with any
+//! cross-thread happens-before edge: a begin always replays before its
+//! end.
 //!
-//! The merged view exposes the same accessors as [`MemRecorder`]
-//! (`spans`, `events`, `metrics`, `counter_series`, `track_names`), so
-//! trace export and tests treat the two interchangeably.
+//! The only thing that varies is what a shard does with a stamped op
+//! (its [`OpSink`]):
+//!
+//! * [`ShardedRecorder`] keeps the ops in memory ([`MemSink`]);
+//!   [`ShardedRecorder::merged`] sorts and replays them into a
+//!   [`MergedTrace`].
+//! * [`StreamingRecorder`] encodes each op as one JSONL line and spills
+//!   the text to a writer ([`JsonlSink`]), so memory stays flat;
+//!   [`replay_jsonl`] decodes the file through the same replay.
+//!
+//! [`MergedTrace`] is the one read view of a recorded run; a
+//! [`MemRecorder`] becomes one with [`MemRecorder::into_trace`].
 //!
 //! [`MemRecorder`]: crate::recorder::MemRecorder
+//! [`MemRecorder::into_trace`]: crate::recorder::MemRecorder::into_trace
+//! [`StreamingRecorder`]: crate::stream::StreamingRecorder
+//! [`JsonlSink`]: crate::stream::JsonlSink
+//! [`replay_jsonl`]: crate::stream::replay_jsonl
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,16 +93,18 @@ pub(crate) enum Op {
     },
 }
 
+/// An `Op` with its merge key: the resolved timestamp and the
+/// recorder-wide sequence number. Opaque outside this crate.
 #[derive(Clone, Debug)]
-pub(crate) struct StampedOp {
+pub struct StampedOp {
     pub(crate) t_us: u64,
     pub(crate) seq: u64,
     pub(crate) op: Op,
 }
 
 /// Sort an op log by `(t_us, seq)` and replay it into a [`MergedTrace`].
-/// Shared by [`ShardedRecorder::merged`] and the JSONL stream replay in
-/// [`crate::stream`], so both views have identical merge semantics.
+/// Shared by both sinks, so the in-memory merge and the JSONL stream
+/// replay have identical semantics.
 pub(crate) fn replay_ops(mut ops: Vec<StampedOp>) -> MergedTrace {
     // seq is globally unique, so this order is total and respects
     // both per-thread program order and cross-thread causality.
@@ -150,17 +168,29 @@ pub(crate) fn replay_ops(mut ops: Vec<StampedOp>) -> MergedTrace {
     out
 }
 
+/// What an [`OpLog`] shard does with each stamped op. Implemented by
+/// [`MemSink`] and [`JsonlSink`](crate::stream::JsonlSink).
+pub trait OpSink: Sync {
+    /// One thread's buffer, guarded by its shard's mutex.
+    type Buf: Default + Send + std::fmt::Debug + 'static;
+
+    /// Add `op` to this thread's buffer; runs under the shard lock. A
+    /// returned buffer goes to [`OpSink::spill`] once the lock is
+    /// released.
+    fn append(&self, buf: &mut Self::Buf, op: StampedOp) -> Option<Self::Buf>;
+
+    /// Take a full buffer handed back by [`OpSink::append`].
+    fn spill(&self, _full: Self::Buf) {}
+}
+
 #[derive(Debug, Default)]
-struct ShardBuf {
-    ops: Vec<StampedOp>,
+struct ShardBuf<B> {
+    ops: B,
     /// High-water timestamp of this shard, inherited by untimestamped ops.
     last_t: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    buf: Mutex<ShardBuf>,
-}
+type Shard<B> = Mutex<ShardBuf<B>>;
 
 /// Identity counter so the thread-local shard cache can tell recorders
 /// apart (a thread may touch several recorders over its lifetime).
@@ -168,26 +198,23 @@ static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Fast path: the shard this thread last used, keyed by recorder id.
-    static SHARD_CACHE: RefCell<Option<(u64, Arc<Shard>)>> = const { RefCell::new(None) };
+    /// Ids are unique across sinks, so a hit always downcasts.
+    static SHARD_CACHE: RefCell<Option<(u64, Arc<dyn Any + Send + Sync>)>> =
+        const { RefCell::new(None) };
 }
 
-/// Thread-safe buffering recorder; see the module docs.
+/// The thread-safe op-log recorder; see the module docs.
 #[derive(Debug)]
-pub struct ShardedRecorder {
+pub struct OpLog<S: OpSink> {
     id: u64,
     next_span: AtomicU64,
     next_seq: AtomicU64,
-    shards: Mutex<HashMap<ThreadId, Arc<Shard>>>,
+    shards: Mutex<HashMap<ThreadId, Arc<Shard<S::Buf>>>>,
+    sink: S,
 }
 
-impl Default for ShardedRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Deterministic merged view of every shard, shaped like the buffers of
-/// a [`MemRecorder`](crate::recorder::MemRecorder).
+/// Deterministic merged view of a recorded run, shaped like the buffers
+/// of a [`MemRecorder`](crate::recorder::MemRecorder).
 #[derive(Debug, Default)]
 pub struct MergedTrace {
     pub spans: Vec<SpanRecord>,
@@ -199,38 +226,42 @@ pub struct MergedTrace {
     pub open_spans: usize,
 }
 
-impl ShardedRecorder {
-    pub fn new() -> Self {
+impl<S: OpSink> OpLog<S> {
+    pub(crate) fn with_sink(sink: S) -> Self {
         Self {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
             next_span: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
             shards: Mutex::new(HashMap::new()),
+            sink,
         }
     }
 
-    fn shard(&self) -> Arc<Shard> {
+    fn shard(&self) -> Arc<Shard<S::Buf>> {
         SHARD_CACHE.with(|cache| {
             let mut cache = cache.borrow_mut();
             if let Some((id, shard)) = cache.as_ref() {
                 if *id == self.id {
-                    return Arc::clone(shard);
+                    if let Ok(shard) = Arc::clone(shard).downcast() {
+                        return shard;
+                    }
                 }
             }
             let shard = {
                 let mut shards = self.shards.lock().expect("shard registry poisoned");
                 Arc::clone(shards.entry(std::thread::current().id()).or_default())
             };
-            *cache = Some((self.id, Arc::clone(&shard)));
+            *cache = Some((self.id, Arc::clone(&shard) as Arc<dyn Any + Send + Sync>));
             shard
         })
     }
 
-    /// Append one op. `t` is the op's own timestamp, if it has one.
+    /// Stamp one op and hand it to this thread's shard. `t` is the op's
+    /// own timestamp, if it has one.
     fn push(&self, t: Option<u64>, op: Op) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let shard = self.shard();
-        let mut buf = shard.buf.lock().expect("shard poisoned");
+        let mut buf = shard.lock().expect("shard poisoned");
         let t_us = match t {
             Some(t) => {
                 buf.last_t = buf.last_t.max(t);
@@ -238,7 +269,50 @@ impl ShardedRecorder {
             }
             None => buf.last_t,
         };
-        buf.ops.push(StampedOp { t_us, seq, op });
+        let full = self.sink.append(&mut buf.ops, StampedOp { t_us, seq, op });
+        drop(buf);
+        if let Some(full) = full {
+            self.sink.spill(full);
+        }
+    }
+
+    /// The sink and every shard's remaining buffer.
+    pub(crate) fn into_parts(self) -> (S, Vec<S::Buf>) {
+        let shards = self.shards.into_inner().expect("shard registry poisoned");
+        let bufs = shards
+            .into_values()
+            .map(|shard| std::mem::take(&mut shard.lock().expect("shard poisoned").ops))
+            .collect();
+        (self.sink, bufs)
+    }
+}
+
+/// [`OpSink`] keeping every op in its shard until the merge.
+#[derive(Debug, Default)]
+pub struct MemSink;
+
+impl OpSink for MemSink {
+    type Buf = Vec<StampedOp>;
+
+    fn append(&self, buf: &mut Vec<StampedOp>, op: StampedOp) -> Option<Vec<StampedOp>> {
+        buf.push(op);
+        None
+    }
+}
+
+/// Thread-safe buffering recorder: the op-log core with the in-memory
+/// sink; see the module docs.
+pub type ShardedRecorder = OpLog<MemSink>;
+
+impl Default for ShardedRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ShardedRecorder {
+    pub fn new() -> Self {
+        Self::with_sink(MemSink)
     }
 
     /// Merge every shard into one deterministic trace. Non-destructive:
@@ -248,46 +322,19 @@ impl ShardedRecorder {
         {
             let shards = self.shards.lock().expect("shard registry poisoned");
             for shard in shards.values() {
-                ops.extend(
-                    shard
-                        .buf
-                        .lock()
-                        .expect("shard poisoned")
-                        .ops
-                        .iter()
-                        .cloned(),
-                );
+                ops.extend(shard.lock().expect("shard poisoned").ops.iter().cloned());
             }
         }
         replay_ops(ops)
     }
 
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.merged().spans
-    }
-
-    pub fn events(&self) -> Vec<EventRecord> {
-        self.merged().events
-    }
-
-    pub fn open_span_count(&self) -> usize {
-        self.merged().open_spans
-    }
-
-    pub fn track_names(&self) -> BTreeMap<u64, String> {
-        self.merged().track_names
-    }
-
-    pub fn counter_series(&self) -> BTreeMap<&'static str, Vec<(u64, f64)>> {
-        self.merged().counter_series
-    }
-
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.merged().metrics
+    /// [`Self::merged`], consuming the recorder so no op is cloned.
+    pub fn into_trace(self) -> MergedTrace {
+        replay_ops(self.into_parts().1.into_iter().flatten().collect())
     }
 }
 
-impl Recorder for ShardedRecorder {
+impl<S: OpSink> Recorder for OpLog<S> {
     fn enabled(&self) -> bool {
         true
     }
@@ -443,10 +490,8 @@ mod tests {
         assert!(Recorder::as_sync(&mem).is_none());
         let noop = crate::recorder::NoopRecorder;
         assert!(Recorder::as_sync(&noop).is_some());
-        // Forwarding through &dyn and Arc.
+        // Forwarding through &dyn.
         let dynrec: &dyn Recorder = &sharded;
         assert!(dynrec.as_sync().is_some());
-        let arc: std::sync::Arc<dyn Recorder + Sync> = std::sync::Arc::new(ShardedRecorder::new());
-        assert!(arc.as_sync().is_some());
     }
 }

@@ -1,54 +1,45 @@
 //! [`StreamingRecorder`]: a bounded-memory recorder that streams its op
-//! log to a JSONL sink instead of buffering it.
+//! log to a JSONL sink instead of buffering it, plus the JSONL codec.
 //!
 //! Million-event runs cannot hold a [`MemRecorder`] — its buffers grow
-//! with the trace. The streaming recorder keeps only small per-thread
-//! text buffers (flushed to the shared sink past a threshold), so RSS
-//! stays flat no matter how long the run is. The op log it writes has
-//! exactly the [`ShardedRecorder`] merge semantics: every line carries
-//! the op's resolved timestamp (untimestamped ops inherit the writing
-//! thread's high-water mark, as in a shard) and a globally unique
-//! sequence number, so [`replay_jsonl`] can sort by `(t_us, seq)` and
-//! replay through the same code path as [`ShardedRecorder::merged`] —
-//! the replayed [`MergedTrace`] equals the `MemRecorder` view of the
-//! same run bit for bit (see `crates/obs/tests/props.rs`).
+//! with the trace. The streaming recorder is the op-log core of
+//! [`crate::sharded`] with the [`JsonlSink`]: each shard encodes its
+//! stamped ops into a small text buffer and spills it to the shared
+//! writer past a threshold, so RSS stays flat no matter how long the
+//! run is. Stamping, sequencing and span ids are the core's, so
+//! [`replay_jsonl`] sorts by `(t_us, seq)` and replays through the same
+//! code path as [`ShardedRecorder::merged`] — the replayed
+//! [`MergedTrace`] equals the `MemRecorder` view of the same run bit
+//! for bit (see `crates/obs/tests/props.rs`).
 //!
-//! Format: one JSON object per line. `t`/`q` are the stamp; `o` tags
-//! the op (`c` counter_add, `g` gauge_set, `m` gauge_max, `h`
-//! histogram_record, `s` counter_sample, `tn` track_name, `e` event,
-//! `sb`/`se`/`sa` span begin/end/attr). Floats are written with Rust's
-//! shortest-round-trip `{}` formatting; non-finite values fall back to
-//! a `<key>b` bit-pattern field so replay is exact for every `f64`.
+//! Format (`encode_op` and its inverse `decode_line`): one JSON
+//! object per line. `t`/`q` are the stamp; `o` tags the op (`c`
+//! counter_add, `g` gauge_set, `m` gauge_max, `h` histogram_record, `s`
+//! counter_sample, `tn` track_name, `e` event, `sb`/`se`/`sa` span
+//! begin/end/attr). Floats are written with Rust's shortest-round-trip
+//! `{}` formatting; non-finite values and negative zero fall back to a
+//! `<key>b` bit-pattern field so replay is exact for every `f64`.
 //!
 //! [`MemRecorder`]: crate::recorder::MemRecorder
-//! [`ShardedRecorder`]: crate::sharded::ShardedRecorder
 //! [`ShardedRecorder::merged`]: crate::sharded::ShardedRecorder::merged
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::ThreadId;
+use std::sync::{Mutex, OnceLock};
 
-use crate::recorder::{Attr, AttrValue, Recorder, SpanId, TrackId};
-use crate::sharded::{replay_ops, MergedTrace, Op, StampedOp};
+use crate::recorder::{Attr, AttrValue, TrackId};
+use crate::sharded::{replay_ops, MergedTrace, Op, OpLog, OpSink, StampedOp};
 
 /// Default per-thread buffer size before a flush to the sink.
 pub const DEFAULT_FLUSH_BYTES: usize = 64 * 1024;
 
-#[derive(Debug, Default)]
-struct StreamBuf {
-    text: String,
-    /// High-water timestamp of this thread, inherited by untimestamped
-    /// ops — identical to `ShardBuf::last_t` in the sharded recorder.
-    last_t: u64,
-}
-
-#[derive(Debug, Default)]
-struct StreamShard {
-    buf: Mutex<StreamBuf>,
+/// [`OpSink`] that encodes each op as one JSONL line into its shard's
+/// text buffer and spills the buffer to the writer past `flush_bytes`.
+#[derive(Debug)]
+pub struct JsonlSink<W> {
+    flush_bytes: usize,
+    out: Mutex<Sink<W>>,
 }
 
 #[derive(Debug)]
@@ -59,24 +50,28 @@ struct Sink<W> {
     error: Option<io::Error>,
 }
 
-/// Identity counter for the thread-local shard cache (a thread may
-/// touch several streaming recorders over its lifetime).
-static NEXT_STREAM_ID: AtomicU64 = AtomicU64::new(1);
+impl<W: Write + Send> OpSink for JsonlSink<W> {
+    type Buf = String;
 
-thread_local! {
-    static STREAM_CACHE: RefCell<Option<(u64, Arc<StreamShard>)>> = const { RefCell::new(None) };
+    fn append(&self, buf: &mut String, op: StampedOp) -> Option<String> {
+        encode_op(buf, &op);
+        (buf.len() >= self.flush_bytes).then(|| std::mem::take(buf))
+    }
+
+    fn spill(&self, text: String) {
+        let mut sink = self.out.lock().expect("stream sink poisoned");
+        if sink.error.is_some() {
+            return;
+        }
+        if let Err(e) = sink.writer.write_all(text.as_bytes()) {
+            sink.error = Some(e);
+        }
+    }
 }
 
-/// Bounded-memory streaming recorder; see the module docs.
-#[derive(Debug)]
-pub struct StreamingRecorder<W> {
-    id: u64,
-    flush_bytes: usize,
-    next_span: AtomicU64,
-    next_seq: AtomicU64,
-    shards: Mutex<HashMap<ThreadId, Arc<StreamShard>>>,
-    sink: Mutex<Sink<W>>,
-}
+/// Bounded-memory streaming recorder: the op-log core with the JSONL
+/// sink; see the module docs.
+pub type StreamingRecorder<W> = OpLog<JsonlSink<W>>;
 
 impl<W: Write + Send> StreamingRecorder<W> {
     pub fn new(writer: W) -> Self {
@@ -86,88 +81,34 @@ impl<W: Write + Send> StreamingRecorder<W> {
     /// A recorder flushing each per-thread buffer once it exceeds
     /// `flush_bytes` (small values force frequent flushes in tests).
     pub fn with_flush_bytes(writer: W, flush_bytes: usize) -> Self {
-        Self {
-            id: NEXT_STREAM_ID.fetch_add(1, Ordering::Relaxed),
+        Self::with_sink(JsonlSink {
             flush_bytes: flush_bytes.max(1),
-            next_span: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
-            shards: Mutex::new(HashMap::new()),
-            sink: Mutex::new(Sink {
+            out: Mutex::new(Sink {
                 writer,
                 error: None,
             }),
-        }
-    }
-
-    fn shard(&self) -> Arc<StreamShard> {
-        STREAM_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some((id, shard)) = cache.as_ref() {
-                if *id == self.id {
-                    return Arc::clone(shard);
-                }
-            }
-            let shard = {
-                let mut shards = self.shards.lock().expect("stream registry poisoned");
-                Arc::clone(shards.entry(std::thread::current().id()).or_default())
-            };
-            *cache = Some((self.id, Arc::clone(&shard)));
-            shard
         })
-    }
-
-    /// Append one op line. `t` is the op's own timestamp, if it has
-    /// one; `body` writes the op fields after the `t`/`q` stamp.
-    fn push(&self, t: Option<u64>, body: impl FnOnce(&mut String)) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard();
-        let mut buf = shard.buf.lock().expect("stream shard poisoned");
-        let t_us = match t {
-            Some(t) => {
-                buf.last_t = buf.last_t.max(t);
-                t
-            }
-            None => buf.last_t,
-        };
-        let _ = write!(buf.text, "{{\"t\":{t_us},\"q\":{seq}");
-        body(&mut buf.text);
-        buf.text.push_str("}\n");
-        if buf.text.len() >= self.flush_bytes {
-            let text = std::mem::take(&mut buf.text);
-            drop(buf);
-            self.write_out(&text);
-        }
-    }
-
-    fn write_out(&self, text: &str) {
-        let mut sink = self.sink.lock().expect("stream sink poisoned");
-        if sink.error.is_some() {
-            return;
-        }
-        if let Err(e) = sink.writer.write_all(text.as_bytes()) {
-            sink.error = Some(e);
-        }
     }
 
     /// Flush every remaining buffer and return the sink writer, or the
     /// first I/O error hit at any point during recording.
     pub fn finish(self) -> io::Result<W> {
-        let shards = self.shards.into_inner().expect("stream registry poisoned");
-        let mut sink = self.sink.into_inner().expect("stream sink poisoned");
-        if let Some(e) = sink.error.take() {
+        let (sink, texts) = self.into_parts();
+        let Sink { mut writer, error } = sink.out.into_inner().expect("stream sink poisoned");
+        if let Some(e) = error {
             return Err(e);
         }
-        for shard in shards.values() {
-            let mut buf = shard.buf.lock().expect("stream shard poisoned");
-            if !buf.text.is_empty() {
-                sink.writer.write_all(buf.text.as_bytes())?;
-                buf.text.clear();
-            }
+        for text in texts {
+            writer.write_all(text.as_bytes())?;
         }
-        sink.writer.flush()?;
-        Ok(sink.writer)
+        writer.flush()?;
+        Ok(writer)
     }
 }
+
+// ---------------------------------------------------------------------------
+// encode
+// ---------------------------------------------------------------------------
 
 /// JSON-escape `s` into `out`, quotes included.
 fn esc(out: &mut String, s: &str) {
@@ -189,13 +130,39 @@ fn esc(out: &mut String, s: &str) {
 }
 
 /// Write `"<key>":<value>` for an `f64`: shortest-round-trip decimal
-/// when finite, `"<key>b":<bits>` otherwise.
+/// when that parses back to the same bits, `"<key>b":<bits>` otherwise
+/// (non-finite values, and `-0`, which JSON readers take as integer 0).
 fn push_f64(out: &mut String, key: &str, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, ",\"{key}\":{v}");
+    if v.is_finite() && (v != 0.0 || v.is_sign_positive()) {
+        let _ = write!(out, "\"{key}\":{v}");
     } else {
-        let _ = write!(out, ",\"{key}b\":{}", v.to_bits());
+        let _ = write!(out, "\"{key}b\":{}", v.to_bits());
     }
+}
+
+fn push_attr_value(out: &mut String, value: &AttrValue) {
+    out.push('{');
+    match value {
+        AttrValue::U64(n) => {
+            let _ = write!(out, "\"u\":{n}");
+        }
+        AttrValue::I64(n) => {
+            let _ = write!(out, "\"i\":{n}");
+        }
+        AttrValue::F64(f) => push_f64(out, "f", *f),
+        AttrValue::Bool(b) => {
+            let _ = write!(out, "\"b\":{b}");
+        }
+        AttrValue::Str(s) => {
+            out.push_str("\"s\":");
+            esc(out, s);
+        }
+        AttrValue::Owned(s) => {
+            out.push_str("\"w\":");
+            esc(out, s);
+        }
+    }
+    out.push('}');
 }
 
 fn push_attrs(out: &mut String, attrs: &[Attr]) {
@@ -207,138 +174,81 @@ fn push_attrs(out: &mut String, attrs: &[Attr]) {
         out.push('[');
         esc(out, key);
         out.push(',');
-        out.push('{');
-        match value {
-            AttrValue::U64(n) => {
-                let _ = write!(out, "\"u\":{n}");
-            }
-            AttrValue::I64(n) => {
-                let _ = write!(out, "\"i\":{n}");
-            }
-            AttrValue::F64(f) => {
-                if f.is_finite() {
-                    let _ = write!(out, "\"f\":{f}");
-                } else {
-                    let _ = write!(out, "\"fb\":{}", f.to_bits());
-                }
-            }
-            AttrValue::Bool(b) => {
-                let _ = write!(out, "\"b\":{b}");
-            }
-            AttrValue::Str(s) => {
-                out.push_str("\"s\":");
-                esc(out, s);
-            }
-            AttrValue::Owned(s) => {
-                out.push_str("\"w\":");
-                esc(out, s);
-            }
-        }
-        out.push('}');
+        push_attr_value(out, value);
         out.push(']');
     }
     out.push(']');
 }
 
-impl<W: Write + Send> Recorder for StreamingRecorder<W> {
-    fn enabled(&self) -> bool {
-        true
-    }
+/// Write `,"o":"<tag>","n":<name>`.
+fn push_tag_name(out: &mut String, tag: &str, name: &str) {
+    out.push_str(",\"o\":\"");
+    out.push_str(tag);
+    out.push_str("\",\"n\":");
+    esc(out, name);
+}
 
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        self.push(None, |out| {
-            out.push_str(",\"o\":\"c\",\"n\":");
-            esc(out, name);
+/// Append `op` to `out` as one JSONL line (newline included). The
+/// wire format is defined here and by its inverse, `decode_line`.
+pub(crate) fn encode_op(out: &mut String, op: &StampedOp) {
+    let _ = write!(out, "{{\"t\":{},\"q\":{}", op.t_us, op.seq);
+    match &op.op {
+        Op::CounterAdd { name, delta } => {
+            push_tag_name(out, "c", name);
             let _ = write!(out, ",\"d\":{delta}");
-        });
-    }
-
-    fn gauge_set(&self, name: &'static str, value: f64) {
-        self.push(None, |out| {
-            out.push_str(",\"o\":\"g\",\"n\":");
-            esc(out, name);
-            push_f64(out, "v", value);
-        });
-    }
-
-    fn gauge_max(&self, name: &'static str, value: f64) {
-        self.push(None, |out| {
-            out.push_str(",\"o\":\"m\",\"n\":");
-            esc(out, name);
-            push_f64(out, "v", value);
-        });
-    }
-
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        self.push(None, |out| {
-            out.push_str(",\"o\":\"h\",\"n\":");
-            esc(out, name);
+        }
+        Op::GaugeSet { name, value } => {
+            push_tag_name(out, "g", name);
+            out.push(',');
+            push_f64(out, "v", *value);
+        }
+        Op::GaugeMax { name, value } => {
+            push_tag_name(out, "m", name);
+            out.push(',');
+            push_f64(out, "v", *value);
+        }
+        Op::HistRecord { name, value } => {
+            push_tag_name(out, "h", name);
             let _ = write!(out, ",\"d\":{value}");
-        });
-    }
-
-    fn counter_sample(&self, name: &'static str, t_us: u64, value: f64) {
-        self.push(Some(t_us), |out| {
-            out.push_str(",\"o\":\"s\",\"n\":");
+        }
+        Op::CounterSample { name, value } => {
+            push_tag_name(out, "s", name);
+            out.push(',');
+            push_f64(out, "v", *value);
+        }
+        Op::TrackName { track, name } => {
+            let _ = write!(out, ",\"o\":\"tn\",\"k\":{track},\"s\":");
             esc(out, name);
-            push_f64(out, "v", value);
-        });
-    }
-
-    fn track_name(&self, track: TrackId, name: &str) {
-        self.push(None, |out| {
-            let _ = write!(out, ",\"o\":\"tn\",\"k\":{}", track.0);
-            out.push_str(",\"s\":");
-            esc(out, name);
-        });
-    }
-
-    fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        self.push(Some(t_us), |out| {
-            out.push_str(",\"o\":\"e\",\"n\":");
-            esc(out, name);
+        }
+        Op::Event { name, track, attrs } => {
+            push_tag_name(out, "e", name);
             if let Some(track) = track {
                 let _ = write!(out, ",\"k\":{}", track.0);
             }
             push_attrs(out, attrs);
-        });
-    }
-
-    fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
-        let id = self.next_span.fetch_add(1, Ordering::Relaxed) + 1;
-        self.push(Some(t_us), |out| {
-            let _ = write!(out, ",\"o\":\"sb\",\"i\":{id},\"k\":{}", track.0);
-            out.push_str(",\"n\":");
+        }
+        Op::SpanBegin {
+            id,
+            track,
+            name,
+            attrs,
+        } => {
+            let _ = write!(out, ",\"o\":\"sb\",\"i\":{id},\"k\":{},\"n\":", track.0);
             esc(out, name);
             push_attrs(out, attrs);
-        });
-        SpanId(id)
-    }
-
-    fn span_end(&self, span: SpanId, t_us: u64) {
-        if span.is_null() {
-            return;
         }
-        self.push(Some(t_us), |out| {
-            let _ = write!(out, ",\"o\":\"se\",\"i\":{}", span.0);
-        });
-    }
-
-    fn span_attr(&self, span: SpanId, key: &'static str, value: AttrValue) {
-        if span.is_null() {
-            return;
+        Op::SpanEnd { id } => {
+            let _ = write!(out, ",\"o\":\"se\",\"i\":{id}");
         }
-        self.push(None, |out| {
-            let _ = write!(out, ",\"o\":\"sa\",\"i\":{}", span.0);
-            out.push_str(",\"n\":");
+        Op::SpanAttr { id, key, value } => {
+            let _ = write!(out, ",\"o\":\"sa\",\"i\":{id},\"n\":");
             esc(out, key);
-            push_attrs(out, &[("v", value)]);
-        });
+            out.push_str(",\"a\":[[\"v\",");
+            push_attr_value(out, value);
+            out.push_str("]]");
+        }
     }
-
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        Some(self)
-    }
+    out.push_str("}\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -374,7 +284,7 @@ fn get_str<'a>(obj: &'a Value, key: &str, line: usize) -> Result<&'a str, String
         .ok_or_else(|| format!("line {line}: missing string field `{key}`"))
 }
 
-/// Read an `f64` written by [`push_f64`]: `<key>` or `<key>b` bits.
+/// Read an `f64` written by `push_f64`: `<key>` or `<key>b` bits.
 fn get_f64(obj: &Value, key: &str, line: usize) -> Result<f64, String> {
     if let Some(v) = obj.get(key).and_then(|v| v.as_f64()) {
         return Ok(v);
@@ -434,74 +344,79 @@ fn parse_attrs(obj: &Value, line: usize) -> Result<Vec<Attr>, String> {
 pub fn replay_jsonl(text: &str) -> Result<MergedTrace, String> {
     let mut ops: Vec<StampedOp> = Vec::new();
     for (index, raw) in text.lines().enumerate() {
-        let line = index + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let obj: Value =
-            serde_json::from_str(raw).map_err(|e| format!("line {line}: invalid JSON: {e}"))?;
-        // A stream may open with a `{"manifest": {...}}` header line
-        // (see `crate::manifest`); it carries no op and is skipped here.
-        // `manifest_from_jsonl` reads it.
-        if obj.get("o").is_none() && obj.get(crate::manifest::MANIFEST_KEY).is_some() {
-            continue;
-        }
-        let t_us = get_u64(&obj, "t", line)?;
-        let seq = get_u64(&obj, "q", line)?;
-        let op = match get_str(&obj, "o", line)? {
-            "c" => Op::CounterAdd {
-                name: intern(get_str(&obj, "n", line)?),
-                delta: get_u64(&obj, "d", line)?,
-            },
-            "g" => Op::GaugeSet {
-                name: intern(get_str(&obj, "n", line)?),
-                value: get_f64(&obj, "v", line)?,
-            },
-            "m" => Op::GaugeMax {
-                name: intern(get_str(&obj, "n", line)?),
-                value: get_f64(&obj, "v", line)?,
-            },
-            "h" => Op::HistRecord {
-                name: intern(get_str(&obj, "n", line)?),
-                value: get_u64(&obj, "d", line)?,
-            },
-            "s" => Op::CounterSample {
-                name: intern(get_str(&obj, "n", line)?),
-                value: get_f64(&obj, "v", line)?,
-            },
-            "tn" => Op::TrackName {
-                track: get_u64(&obj, "k", line)?,
-                name: get_str(&obj, "s", line)?.to_string(),
-            },
-            "e" => Op::Event {
-                name: intern(get_str(&obj, "n", line)?),
-                track: obj.get("k").and_then(|v| v.as_u64()).map(TrackId),
-                attrs: parse_attrs(&obj, line)?,
-            },
-            "sb" => Op::SpanBegin {
-                id: get_u64(&obj, "i", line)?,
-                track: TrackId(get_u64(&obj, "k", line)?),
-                name: intern(get_str(&obj, "n", line)?),
-                attrs: parse_attrs(&obj, line)?,
-            },
-            "se" => Op::SpanEnd {
-                id: get_u64(&obj, "i", line)?,
-            },
-            "sa" => {
-                let id = get_u64(&obj, "i", line)?;
-                let key = intern(get_str(&obj, "n", line)?);
-                let attrs = parse_attrs(&obj, line)?;
-                let (_, value) = attrs
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| format!("line {line}: span attr has no value"))?;
-                Op::SpanAttr { id, key, value }
-            }
-            other => return Err(format!("line {line}: unknown op tag `{other}`")),
-        };
-        ops.push(StampedOp { t_us, seq, op });
+        ops.extend(decode_line(raw, index + 1)?);
     }
     Ok(replay_ops(ops))
+}
+
+/// Decode one stream line written by [`encode_op`]. Blank lines and the
+/// manifest header carry no op and decode to `None`.
+fn decode_line(raw: &str, line: usize) -> Result<Option<StampedOp>, String> {
+    if raw.trim().is_empty() {
+        return Ok(None);
+    }
+    let obj: Value =
+        serde_json::from_str(raw).map_err(|e| format!("line {line}: invalid JSON: {e}"))?;
+    // A stream may open with a `{"manifest": {...}}` header line (see
+    // `crate::manifest`); it carries no op and is skipped here.
+    // `manifest_from_jsonl` reads it.
+    if obj.get("o").is_none() && obj.get(crate::manifest::MANIFEST_KEY).is_some() {
+        return Ok(None);
+    }
+    let t_us = get_u64(&obj, "t", line)?;
+    let seq = get_u64(&obj, "q", line)?;
+    let op = match get_str(&obj, "o", line)? {
+        "c" => Op::CounterAdd {
+            name: intern(get_str(&obj, "n", line)?),
+            delta: get_u64(&obj, "d", line)?,
+        },
+        "g" => Op::GaugeSet {
+            name: intern(get_str(&obj, "n", line)?),
+            value: get_f64(&obj, "v", line)?,
+        },
+        "m" => Op::GaugeMax {
+            name: intern(get_str(&obj, "n", line)?),
+            value: get_f64(&obj, "v", line)?,
+        },
+        "h" => Op::HistRecord {
+            name: intern(get_str(&obj, "n", line)?),
+            value: get_u64(&obj, "d", line)?,
+        },
+        "s" => Op::CounterSample {
+            name: intern(get_str(&obj, "n", line)?),
+            value: get_f64(&obj, "v", line)?,
+        },
+        "tn" => Op::TrackName {
+            track: get_u64(&obj, "k", line)?,
+            name: get_str(&obj, "s", line)?.to_string(),
+        },
+        "e" => Op::Event {
+            name: intern(get_str(&obj, "n", line)?),
+            track: obj.get("k").and_then(|v| v.as_u64()).map(TrackId),
+            attrs: parse_attrs(&obj, line)?,
+        },
+        "sb" => Op::SpanBegin {
+            id: get_u64(&obj, "i", line)?,
+            track: TrackId(get_u64(&obj, "k", line)?),
+            name: intern(get_str(&obj, "n", line)?),
+            attrs: parse_attrs(&obj, line)?,
+        },
+        "se" => Op::SpanEnd {
+            id: get_u64(&obj, "i", line)?,
+        },
+        "sa" => {
+            let id = get_u64(&obj, "i", line)?;
+            let key = intern(get_str(&obj, "n", line)?);
+            let attrs = parse_attrs(&obj, line)?;
+            let (_, value) = attrs
+                .into_iter()
+                .next()
+                .ok_or_else(|| format!("line {line}: span attr has no value"))?;
+            Op::SpanAttr { id, key, value }
+        }
+        other => return Err(format!("line {line}: unknown op tag `{other}`")),
+    };
+    Ok(Some(StampedOp { t_us, seq, op }))
 }
 
 /// Extract the manifest JSON from a stream's header line, if the first
@@ -518,7 +433,8 @@ pub fn manifest_from_jsonl(text: &str) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::MemRecorder;
+    use crate::recorder::{MemRecorder, Recorder};
+    use proptest::prelude::*;
 
     /// Drive the same call sequence into any recorder.
     fn drive<R: Recorder>(r: &R) {
@@ -647,5 +563,111 @@ mod tests {
         rec.counter_add("c", 1);
         let err = rec.finish().unwrap_err();
         assert_eq!(err.to_string(), "disk full");
+    }
+
+    /// Characters that exercise every escape path plus multi-byte UTF-8.
+    const PALETTE: &[char] = &[
+        'a', 'Z', '0', ' ', '.', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+        'é', '日', '😀',
+    ];
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..PALETTE.len(), 0..6)
+            .prop_map(|ix| ix.into_iter().map(|i| PALETTE[i]).collect())
+    }
+
+    /// Any `f64`, with the values a decimal round trip can lose (NaN
+    /// payloads, infinities, negative zero) drawn often.
+    fn float() -> impl Strategy<Value = f64> {
+        (0..6u8, any::<u64>()).prop_map(|(kind, bits)| match kind {
+            0 => f64::from_bits(0x7ff0_0000_0000_0001 | (bits & 0x800f_ffff_ffff_ffff)),
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            _ => f64::from_bits(bits),
+        })
+    }
+
+    fn attr_value() -> impl Strategy<Value = AttrValue> {
+        (0..6u8, any::<u64>(), float(), text()).prop_map(|(kind, n, f, s)| match kind {
+            0 => AttrValue::U64(n),
+            1 => AttrValue::I64(n as i64),
+            2 => AttrValue::F64(f),
+            3 => AttrValue::Bool(n & 1 == 1),
+            4 => AttrValue::Str(intern(&s)),
+            _ => AttrValue::Owned(s),
+        })
+    }
+
+    fn attrs() -> impl Strategy<Value = Vec<Attr>> {
+        proptest::collection::vec((text(), attr_value()), 0..4).prop_map(|pairs| {
+            pairs
+                .into_iter()
+                .map(|(key, value)| (intern(&key), value))
+                .collect()
+        })
+    }
+
+    /// A random op of every tag, with a random stamp.
+    fn stamped_op() -> impl Strategy<Value = StampedOp> {
+        (
+            (0..10u8, any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<u64>(), float()),
+            (text(), attrs(), attr_value(), any::<bool>()),
+        )
+            .prop_map(
+                |((tag, t_us, seq), (a, b, value), (s, attrs, av, tracked))| {
+                    let name = intern(&s);
+                    let op = match tag {
+                        0 => Op::CounterAdd { name, delta: a },
+                        1 => Op::GaugeSet { name, value },
+                        2 => Op::GaugeMax { name, value },
+                        3 => Op::HistRecord { name, value: a },
+                        4 => Op::CounterSample { name, value },
+                        5 => Op::TrackName { track: a, name: s },
+                        6 => Op::Event {
+                            name,
+                            track: tracked.then_some(TrackId(b)),
+                            attrs,
+                        },
+                        7 => Op::SpanBegin {
+                            id: a,
+                            track: TrackId(b),
+                            name,
+                            attrs,
+                        },
+                        8 => Op::SpanEnd { id: a },
+                        _ => Op::SpanAttr {
+                            id: a,
+                            key: name,
+                            value: av,
+                        },
+                    };
+                    StampedOp { t_us, seq, op }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `decode_line` inverts `encode_op`: the decoded op equals the
+        /// original, and re-encoding it reproduces the same bytes (which
+        /// pins float bit patterns that `Debug` cannot tell apart).
+        #[test]
+        fn encode_decode_roundtrip(op in stamped_op()) {
+            let mut line = String::new();
+            encode_op(&mut line, &op);
+            prop_assert!(line.ends_with('\n') && line.matches('\n').count() == 1, "{}", line);
+            let back = decode_line(line.trim_end_matches('\n'), 1);
+            prop_assert!(back.is_ok(), "{:?} for {}", back, line);
+            let back = back.unwrap();
+            prop_assert!(back.is_some(), "{}", line);
+            let back = back.unwrap();
+            prop_assert_eq!(format!("{back:?}"), format!("{op:?}"));
+            let mut again = String::new();
+            encode_op(&mut again, &back);
+            prop_assert_eq!(again, line);
+        }
     }
 }

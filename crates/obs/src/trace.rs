@@ -1,6 +1,6 @@
-//! Chrome trace-event export: turn a [`MemRecorder`]'s buffers into the
-//! JSON object format understood by Perfetto (<https://ui.perfetto.dev>)
-//! and `chrome://tracing`.
+//! Chrome trace-event export: turn a [`MemRecorder`]'s buffers (or a
+//! [`MergedTrace`]) into the JSON object format understood by Perfetto
+//! (<https://ui.perfetto.dev>) and `chrome://tracing`.
 //!
 //! Mapping:
 //! * span           → `"X"` complete event (`ts`/`dur` in µs) on `tid` =
@@ -17,9 +17,10 @@ use std::collections::BTreeMap;
 use serde_json::{json, Value};
 
 use crate::recorder::{AttrValue, EventRecord, MemRecorder, SpanRecord};
-use crate::sharded::ShardedRecorder;
+use crate::sharded::MergedTrace;
 
-fn attr_value_json(v: &AttrValue) -> Value {
+/// An attribute value as JSON.
+pub(crate) fn attr_value_json(v: &AttrValue) -> Value {
     match v {
         AttrValue::U64(x) => json!(*x),
         AttrValue::I64(x) => json!(*x),
@@ -53,20 +54,20 @@ pub fn chrome_trace(rec: &MemRecorder) -> Value {
     )
 }
 
-/// Same as [`chrome_trace`] for a thread-safe [`ShardedRecorder`]: the
-/// shards are merged deterministically first.
-pub fn chrome_trace_sharded(rec: &ShardedRecorder) -> Value {
-    let merged = rec.merged();
-    chrome_trace_parts(
-        &merged.spans,
-        &merged.events,
-        &merged.track_names,
-        &merged.counter_series,
-    )
+impl MergedTrace {
+    /// Same as [`chrome_trace`] for a merged view.
+    pub fn chrome_trace(&self) -> Value {
+        chrome_trace_parts(
+            &self.spans,
+            &self.events,
+            &self.track_names,
+            &self.counter_series,
+        )
+    }
 }
 
 /// Build the trace document from raw recorder buffers.
-pub fn chrome_trace_parts(
+fn chrome_trace_parts(
     spans: &[SpanRecord],
     instants: &[EventRecord],
     track_names: &BTreeMap<u64, String>,
@@ -145,11 +146,6 @@ pub fn chrome_trace_parts(
         "traceEvents": events,
         "displayTimeUnit": "ms",
     })
-}
-
-/// Serialise the trace and write it to `path`.
-pub fn save_chrome_trace(rec: &MemRecorder, path: &str) -> std::io::Result<()> {
-    save_trace_value(&chrome_trace(rec), path)
 }
 
 /// Write an already-built trace document to `path`.
