@@ -999,19 +999,28 @@ const DIFF_OPTIONS: &[&str] = &[
     "config-b",
 ];
 
+/// The shared `diff` / `compare` options; `--tolerance-pct` must be a
+/// finite number ≥ 0.
+fn diff_options(p: &Parsed) -> Result<DiffOptions, ArgError> {
+    let tolerance_pct = p.num_or("tolerance-pct", 0.0f64)?;
+    if !(tolerance_pct.is_finite() && tolerance_pct >= 0.0) {
+        return Err(ArgError::new(format!(
+            "--tolerance-pct must be a finite non-negative number, got {tolerance_pct}"
+        )));
+    }
+    Ok(DiffOptions {
+        tolerance_pct,
+        top: p.num_or("top", 5usize)?,
+    })
+}
+
 /// `affinity-vc diff` — align two recorded run documents, classify
 /// every delta, and attribute the makespan delta to critical-path
 /// categories and gating links. Paired mode (`--config-a`/`--config-b`
 /// [`--seeds N`]) re-runs both configs over common seeds instead.
 pub fn diff(p: &Parsed, files: &[String]) -> Result<String, ArgError> {
     p.ensure_known(DIFF_OPTIONS)?;
-    let opts = DiffOptions {
-        tolerance_pct: p.num_or("tolerance-pct", 0.0f64)?,
-        top: p.num_or("top", 5usize)?,
-    };
-    if opts.tolerance_pct < 0.0 {
-        return Err(ArgError::new("--tolerance-pct must be non-negative"));
-    }
+    let opts = diff_options(p)?;
     let paired = !p.str_or("config-a", "").is_empty()
         || !p.str_or("config-b", "").is_empty()
         || !p.str_or("seeds", "").is_empty();
@@ -1189,13 +1198,7 @@ pub fn compare(p: &Parsed, files: &[String]) -> Result<String, ArgError> {
             "compare re-runs both configs itself; it takes no file operands",
         ));
     }
-    let opts = DiffOptions {
-        tolerance_pct: p.num_or("tolerance-pct", 0.0f64)?,
-        top: p.num_or("top", 5usize)?,
-    };
-    if opts.tolerance_pct < 0.0 {
-        return Err(ArgError::new("--tolerance-pct must be non-negative"));
-    }
+    let opts = diff_options(p)?;
     diff_paired(p, &opts, 5)
 }
 

@@ -406,6 +406,40 @@ fn non_finite_or_non_positive_rate_exits_one() {
 }
 
 #[test]
+fn non_finite_or_negative_tolerance_exits_one() {
+    let (path, path_s) = tmp("affinity_vc_tolerance_run.json");
+    let sim = run(&["simulate", "--requests", "3", "--metrics-out", &path_s]);
+    assert!(sim.status.success(), "{}", stderr(&sim));
+    for tol in ["nan", "NaN", "inf", "-inf", "-1"] {
+        let outs = [
+            run(&["diff", &path_s, &path_s, "--tolerance-pct", tol]),
+            run(&[
+                "compare",
+                "--config-a",
+                "--requests 3",
+                "--config-b",
+                "--requests 3 --policy spread",
+                "--seeds",
+                "1",
+                "--tolerance-pct",
+                tol,
+            ]),
+        ];
+        for (cmd, out) in ["diff", "compare"].iter().zip(&outs) {
+            assert_eq!(out.status.code(), Some(1), "{cmd} --tolerance-pct {tol}");
+            let err = stderr(out);
+            assert!(
+                err.contains("--tolerance-pct"),
+                "{cmd} --tolerance-pct {tol}: {err}"
+            );
+        }
+    }
+    let ok = run(&["diff", &path_s, &path_s, "--tolerance-pct", "2.5"]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(ok.status.code(), Some(0), "{}", stderr(&ok));
+}
+
+#[test]
 fn straggler_prob_outside_unit_interval_exits_one() {
     for prob in ["2", "-0.5", "1.5", "nan", "inf"] {
         let out = run(&["simulate-job", "--straggler-prob", prob]);

@@ -12,17 +12,15 @@
 //! `O(n²m log n)` per request. [`PlacementIndex`] keeps all three answers
 //! up to date as [`ClusterState::allocate`](crate::ClusterState::allocate)
 //! and [`ClusterState::release`](crate::ClusterState::release) run, so the
-//! scan reads them in `O(1)`. It also caches two static per-node facts
-//! about the distance matrix — the cheapest same-rack hop and the cheapest
-//! cross-rack hop — which drive the admissible lower bound used to prune
-//! seeds that cannot beat the incumbent.
+//! scan reads them in `O(1)`. The static distance facts the scan's
+//! admissible lower bound needs (each node's cheapest same-rack and
+//! cross-rack hop) come from [`Topology`] itself.
 
 use crate::ResourceMatrix;
 use vc_topology::{NodeId, RackId, Topology};
 
 /// Incremental per-node / per-rack aggregates over the remaining matrix
-/// `L`, plus static distance minima, maintained by
-/// [`ClusterState`](crate::ClusterState).
+/// `L`, maintained by [`ClusterState`](crate::ClusterState).
 #[derive(Debug, Clone)]
 pub struct PlacementIndex {
     num_types: usize,
@@ -34,12 +32,6 @@ pub struct PlacementIndex {
     rack_free: Vec<u32>,
     /// Per-rack members sorted by (free total descending, id ascending).
     rack_candidates: Vec<Vec<NodeId>>,
-    /// Cheapest same-rack hop per node (`u32::MAX` when the node has no
-    /// rack peer). Static: depends only on the topology.
-    min_rack_dist: Vec<u32>,
-    /// Cheapest cross-rack hop per node (`u32::MAX` when the whole cloud
-    /// is one rack). Static: depends only on the topology.
-    min_cross_dist: Vec<u32>,
     /// Per-type availability `A_j = Σ_i L_ij`.
     avail: Vec<u32>,
 }
@@ -65,23 +57,6 @@ impl PlacementIndex {
                 avail[j] = avail[j].checked_add(v).expect("availability overflow");
             }
         }
-        let mut min_rack_dist = vec![u32::MAX; n];
-        let mut min_cross_dist = vec![u32::MAX; n];
-        for i in 0..n {
-            let a = NodeId::from_index(i);
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let b = NodeId::from_index(j);
-                let d = topology.distance(a, b);
-                if node_rack[i] == node_rack[j] {
-                    min_rack_dist[i] = min_rack_dist[i].min(d);
-                } else {
-                    min_cross_dist[i] = min_cross_dist[i].min(d);
-                }
-            }
-        }
         let mut rack_candidates: Vec<Vec<NodeId>> =
             topology.racks().iter().map(|r| r.nodes.clone()).collect();
         for members in &mut rack_candidates {
@@ -93,8 +68,6 @@ impl PlacementIndex {
             node_free,
             rack_free,
             rack_candidates,
-            min_rack_dist,
-            min_cross_dist,
             avail,
         }
     }
@@ -120,22 +93,6 @@ impl PlacementIndex {
     #[inline]
     pub fn rack_candidates(&self, rack: RackId) -> &[NodeId] {
         &self.rack_candidates[rack.index()]
-    }
-
-    /// Cheapest same-rack hop from `node`, or `None` if it has no rack
-    /// peer.
-    #[inline]
-    pub fn min_same_rack_distance(&self, node: NodeId) -> Option<u32> {
-        let d = self.min_rack_dist[node.index()];
-        (d != u32::MAX).then_some(d)
-    }
-
-    /// Cheapest cross-rack hop from `node`, or `None` if the whole cloud
-    /// is a single rack.
-    #[inline]
-    pub fn min_cross_rack_distance(&self, node: NodeId) -> Option<u32> {
-        let d = self.min_cross_dist[node.index()];
-        (d != u32::MAX).then_some(d)
     }
 
     /// Per-type availability vector `A` (`A_j = Σ_i L_ij`).
@@ -177,7 +134,7 @@ impl PlacementIndex {
     }
 
     /// Replace one node's remaining row (`old` → `new`), e.g. on node
-    /// failure or restoration. Distance minima are static and untouched.
+    /// failure or restoration.
     pub(crate) fn replace_row(&mut self, node: NodeId, old: &[u32], new: &[u32]) {
         let i = node.index();
         let rack = self.node_rack[i];
@@ -198,8 +155,8 @@ impl PlacementIndex {
 
     /// Non-panicking consistency audit for the health watchdog: recompute
     /// the free-capacity aggregates straight from the remaining matrix
-    /// (O(nodes × types), no index rebuild, no distance recomputation)
-    /// and describe every aggregate that drifted. Empty means consistent.
+    /// (O(nodes × types), no index rebuild) and describe every aggregate
+    /// that drifted. Empty means consistent.
     pub fn check_consistent(&self, remaining: &ResourceMatrix) -> Vec<String> {
         let m = self.num_types;
         let mut node_free = vec![0u32; self.node_free.len()];
@@ -237,8 +194,6 @@ impl PlacementIndex {
             self.rack_candidates, fresh.rack_candidates,
             "candidate order drifted"
         );
-        assert_eq!(self.min_rack_dist, fresh.min_rack_dist);
-        assert_eq!(self.min_cross_dist, fresh.min_cross_dist);
     }
 }
 
@@ -288,25 +243,6 @@ mod tests {
             idx.rack_candidates(RackId(1)),
             &[NodeId(4), NodeId(5), NodeId(3)]
         );
-    }
-
-    #[test]
-    fn distance_minima() {
-        let t = topo();
-        let idx = PlacementIndex::build(&t, &remaining());
-        let tiers = t.tiers();
-        for i in t.node_ids() {
-            assert_eq!(idx.min_same_rack_distance(i), Some(tiers.same_rack));
-            assert_eq!(idx.min_cross_rack_distance(i), Some(tiers.cross_rack));
-        }
-    }
-
-    #[test]
-    fn single_node_rack_has_no_peer_distance() {
-        let t = generate::heterogeneous(&[1, 2], DistanceTiers::default());
-        let idx = PlacementIndex::build(&t, &ResourceMatrix::zeros(3, 2));
-        assert_eq!(idx.min_same_rack_distance(NodeId(0)), None);
-        assert!(idx.min_cross_rack_distance(NodeId(0)).is_some());
     }
 
     #[test]

@@ -501,8 +501,8 @@ fn seed_lower_bound(
         return 0;
     }
     match (
-        index.min_same_rack_distance(seed),
-        index.min_cross_rack_distance(seed),
+        topo.min_same_rack_distance(seed),
+        topo.min_cross_rack_distance(seed),
     ) {
         (None, None) => 0,
         (Some(d1), None) => u64::from(d1) * out_total,

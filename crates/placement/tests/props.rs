@@ -2,15 +2,16 @@
 //! soundness, migration invariants.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use vc_model::workload::{random_capacity, RequestProfile};
 use vc_model::{ClusterState, Request, VmCatalog};
 use vc_placement::distance::{cluster_distance, distance_with_center};
 use vc_placement::online::ScanConfig;
 use vc_placement::{baselines, exact, global, migration, online, PlacementPolicy};
-use vc_topology::{generate, DistanceTiers};
+use vc_topology::{generate, DistanceMatrix, DistanceTiers, Topology, TopologyBuilder};
 
 fn paper_state(seed: u64) -> ClusterState {
     let topo = Arc::new(generate::paper_simulation());
@@ -28,14 +29,77 @@ fn request() -> impl Strategy<Value = Request> {
 /// per-cell capacities — exercises the seed scan's pruning bounds on
 /// shapes the paper topology never produces.
 fn random_state(rack_sizes: &[usize], cap_seed: u64) -> ClusterState {
-    let topo = Arc::new(generate::heterogeneous(
-        rack_sizes,
-        DistanceTiers::paper_experiment(),
-    ));
+    state_on(
+        generate::heterogeneous(rack_sizes, DistanceTiers::paper_experiment()),
+        cap_seed,
+    )
+}
+
+/// Random per-cell capacities on `topo`.
+fn state_on(topo: Topology, cap_seed: u64) -> ClusterState {
+    let topo = Arc::new(topo);
     let catalog = Arc::new(VmCatalog::ec2_table1());
     let mut rng = StdRng::seed_from_u64(cap_seed);
     let capacity = random_capacity(&topo, &catalog, 3, &mut rng);
     ClusterState::new(topo, catalog, capacity)
+}
+
+/// One cloud over `rack_sizes` with an explicit random symmetric distance
+/// matrix. Same-rack hops are drawn from 2..12 and cross-rack hops from
+/// 1..8, so a node's cheapest same-rack hop often exceeds its cheapest
+/// cross-rack hop — a shape no tier generator produces.
+fn dense_random_topology(rack_sizes: &[usize], dist_seed: u64) -> Topology {
+    let mut b = TopologyBuilder::new(DistanceTiers::paper_experiment());
+    let cloud = b.add_cloud("cloud0");
+    let mut rack_of = Vec::new();
+    for &size in rack_sizes {
+        let rack = b.add_rack(cloud);
+        for _ in 0..size {
+            b.add_node(rack);
+            rack_of.push(rack);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(dist_seed);
+    b.with_distance_matrix(DistanceMatrix::from_fn(rack_of.len(), |i, j| {
+        if rack_of[i] == rack_of[j] {
+            rng.gen_range(2u32..12)
+        } else {
+            rng.gen_range(1u32..8)
+        }
+    }));
+    b.build()
+}
+
+/// Every [`ScanConfig`] returns the *bit-identical* allocation (matrix,
+/// centre, distance) — or the same error — as the exhaustive sequential
+/// scan.
+fn scan_configs_agree(req: &Request, state: &ClusterState) -> Result<(), TestCaseError> {
+    let baseline = online::place_with(req, state, ScanConfig::sequential_baseline());
+    for scan in [
+        ScanConfig::pruned(),
+        ScanConfig::pruned_parallel(2),
+        ScanConfig::pruned_parallel(0),
+        ScanConfig {
+            prune: false,
+            parallelism: online::Parallelism::Threads(3),
+        },
+    ] {
+        let got = online::place_with(req, state, scan);
+        match (&baseline, &got) {
+            (Ok((a, _)), Ok((b, _))) => {
+                prop_assert_eq!(a.center(), b.center(), "centre differs under {:?}", scan);
+                prop_assert!(a.matrix() == b.matrix(), "matrix differs under {:?}", scan);
+                let topo = state.topology();
+                prop_assert_eq!(
+                    distance_with_center(a.matrix(), topo, a.center()),
+                    distance_with_center(b.matrix(), topo, b.center()),
+                );
+            }
+            (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
+            _ => prop_assert!(false, "ok/err disagreement under {:?}", scan),
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -119,9 +183,8 @@ proptest! {
     }
 
     /// Pruning and parallelism are pure accelerations: on arbitrary
-    /// topologies, every [`ScanConfig`] returns the *bit-identical*
-    /// allocation (matrix, centre, distance) — or the same error — as the
-    /// exhaustive sequential scan.
+    /// topologies, every [`ScanConfig`] agrees with the exhaustive
+    /// sequential scan.
     #[test]
     fn scan_configs_bit_identical(
         rack_sizes in proptest::collection::vec(1usize..6, 1..5),
@@ -129,29 +192,22 @@ proptest! {
         req in request(),
     ) {
         prop_assume!(!req.is_zero());
-        let state = random_state(&rack_sizes, cap_seed);
-        let baseline = online::place_with(&req, &state, ScanConfig::sequential_baseline());
-        for scan in [
-            ScanConfig::pruned(),
-            ScanConfig::pruned_parallel(2),
-            ScanConfig::pruned_parallel(0),
-            ScanConfig { prune: false, parallelism: online::Parallelism::Threads(3) },
-        ] {
-            let got = online::place_with(&req, &state, scan);
-            match (&baseline, &got) {
-                (Ok((a, _)), Ok((b, _))) => {
-                    prop_assert_eq!(a.center(), b.center(), "centre differs under {:?}", scan);
-                    prop_assert!(a.matrix() == b.matrix(), "matrix differs under {:?}", scan);
-                    let topo = state.topology();
-                    prop_assert_eq!(
-                        distance_with_center(a.matrix(), topo, a.center()),
-                        distance_with_center(b.matrix(), topo, b.center()),
-                    );
-                }
-                (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-                _ => prop_assert!(false, "ok/err disagreement under {:?}", scan),
-            }
-        }
+        scan_configs_agree(&req, &random_state(&rack_sizes, cap_seed))?;
+    }
+
+    /// The same bar on explicit dense matrices, whose precomputed minima
+    /// drive the scan's lower bound, including the arm where same-rack
+    /// hops cost more than cross-rack ones.
+    #[test]
+    fn scan_configs_bit_identical_dense(
+        rack_sizes in proptest::collection::vec(1usize..6, 1..5),
+        cap_seed in 0u64..500,
+        dist_seed in 0u64..500,
+        req in request(),
+    ) {
+        prop_assume!(!req.is_zero());
+        let state = state_on(dense_random_topology(&rack_sizes, dist_seed), cap_seed);
+        scan_configs_agree(&req, &state)?;
     }
 
     /// `place_queue` outcomes — who is served (and how), who is deferred,

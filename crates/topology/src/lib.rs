@@ -12,8 +12,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`Topology`] — an immutable hierarchy of clouds → racks → nodes with a
-//!   dense precomputed [`DistanceMatrix`];
+//! * [`Topology`] — an immutable hierarchy of clouds → racks → nodes whose
+//!   distances are an O(1) tier lookup on (node, rack, cloud), or a dense
+//!   [`DistanceMatrix`] when one is supplied explicitly (e.g. measured
+//!   latencies);
 //! * [`TopologyBuilder`] — incremental construction;
 //! * [`generate`] — canned generators (uniform racks, heterogeneous racks,
 //!   multi-cloud) including the paper's simulation configuration of
@@ -77,7 +79,11 @@ pub struct Cloud {
 }
 
 /// An immutable physical topology: the node/rack/cloud hierarchy plus the
-/// precomputed inter-node distance matrix.
+/// inter-node distances `D`.
+///
+/// Tier-built topologies answer every distance query from the hierarchy
+/// in O(1) and store nothing per node pair; only an explicit matrix
+/// supplied via [`TopologyBuilder::with_distance_matrix`] is held densely.
 ///
 /// Construct via [`TopologyBuilder`] or the helpers in [`generate`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,7 +92,86 @@ pub struct Topology {
     racks: Vec<Rack>,
     clouds: Vec<Cloud>,
     tiers: DistanceTiers,
-    distance: DistanceMatrix,
+    distances: Distances,
+}
+
+/// How a [`Topology`] answers distance queries.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+enum Distances {
+    /// `D` is the tier rule on (node, rack, cloud): `0` / `d1` / `d2` /
+    /// `d3`. Both hop minima depend only on the rack, so they are kept
+    /// per rack (`None` when the rack has no peer of that kind).
+    Tiered {
+        min_same: Vec<Option<u32>>,
+        min_cross: Vec<Option<u32>>,
+    },
+    /// An explicit matrix, with both hop minima precomputed per node at
+    /// build (`None` when the node has no peer of that kind).
+    Dense {
+        matrix: DistanceMatrix,
+        min_same: Vec<Option<u32>>,
+        min_cross: Vec<Option<u32>>,
+    },
+}
+
+impl Distances {
+    /// The tier form for a hierarchy of `num_nodes` nodes. A rack's
+    /// cheapest cross-rack hop is `d2` when its cloud holds nodes in
+    /// another rack, else `d3` when another cloud holds nodes.
+    fn tiered(racks: &[Rack], num_clouds: usize, num_nodes: usize, tiers: DistanceTiers) -> Self {
+        let mut cloud_nodes = vec![0usize; num_clouds];
+        for rack in racks {
+            cloud_nodes[rack.cloud.index()] += rack.nodes.len();
+        }
+        let min_same = racks
+            .iter()
+            .map(|r| (r.nodes.len() > 1).then_some(tiers.same_rack))
+            .collect();
+        let min_cross = racks
+            .iter()
+            .map(|r| {
+                let in_cloud = cloud_nodes[r.cloud.index()];
+                if in_cloud > r.nodes.len() {
+                    Some(tiers.cross_rack)
+                } else if num_nodes > in_cloud {
+                    Some(tiers.cross_cloud)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        Self::Tiered {
+            min_same,
+            min_cross,
+        }
+    }
+
+    /// The dense form for an explicit matrix over `nodes`, with the
+    /// cheapest same-rack and cross-rack hop of every node (one O(n²)
+    /// pass).
+    fn dense(matrix: DistanceMatrix, nodes: &[Node]) -> Self {
+        let mut min_same = vec![None; nodes.len()];
+        let mut min_cross = vec![None; nodes.len()];
+        for (a, node) in nodes.iter().enumerate() {
+            let row = matrix.row(node.id);
+            for (b, other) in nodes.iter().enumerate() {
+                if a == b {
+                    continue;
+                }
+                let slot = if node.rack == other.rack {
+                    &mut min_same[a]
+                } else {
+                    &mut min_cross[a]
+                };
+                *slot = Some(slot.map_or(row[b], |d: u32| d.min(row[b])));
+            }
+        }
+        Self::Dense {
+            matrix,
+            min_same,
+            min_cross,
+        }
+    }
 }
 
 impl Topology {
@@ -176,16 +261,47 @@ impl Topology {
 
     /// Distance `D[a][b]` between two nodes (latency units).
     ///
-    /// `distance(a, a) == 0` for every node.
+    /// `distance(a, a) == 0` for every node. O(1) for both forms.
+    ///
+    /// # Panics
+    /// Panics if either id is out of range.
     #[inline]
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        self.distance.get(a, b)
+        match &self.distances {
+            Distances::Tiered { .. } => {
+                let (na, nb) = (&self.nodes[a.index()], &self.nodes[b.index()]);
+                if na.cloud != nb.cloud {
+                    self.tiers.cross_cloud
+                } else if na.rack != nb.rack {
+                    self.tiers.cross_rack
+                } else if a != b {
+                    self.tiers.same_rack
+                } else {
+                    0
+                }
+            }
+            Distances::Dense { matrix, .. } => matrix.get(a, b),
+        }
     }
 
-    /// The dense distance matrix.
+    /// Cheapest hop from `node` to another node of its rack, or `None` if
+    /// it has no rack peer. O(1).
     #[inline]
-    pub fn distance_matrix(&self) -> &DistanceMatrix {
-        &self.distance
+    pub fn min_same_rack_distance(&self, node: NodeId) -> Option<u32> {
+        match &self.distances {
+            Distances::Tiered { min_same, .. } => min_same[self.rack_of(node).index()],
+            Distances::Dense { min_same, .. } => min_same[node.index()],
+        }
+    }
+
+    /// Cheapest hop from `node` to a node outside its rack, or `None` if
+    /// every node shares its rack. O(1).
+    #[inline]
+    pub fn min_cross_rack_distance(&self, node: NodeId) -> Option<u32> {
+        match &self.distances {
+            Distances::Tiered { min_cross, .. } => min_cross[self.rack_of(node).index()],
+            Distances::Dense { min_cross, .. } => min_cross[node.index()],
+        }
     }
 
     /// Iterator over all node ids, `0..n`.
@@ -231,11 +347,15 @@ impl Topology {
     ///
     /// Theorem 2 of the paper assumes `D[x][y] + D[y][k] > D[x][k]` for the
     /// exchange step; a metric distance matrix guarantees the non-strict
-    /// version. Tier-derived matrices are always metric (they are in fact
+    /// version. Tier-derived distances are always metric (they are in fact
     /// ultrametric: the longest hop of any two-hop path is at least the
-    /// direct tier), so this check only matters for explicit matrices
-    /// supplied via [`TopologyBuilder::with_distance_matrix`].
+    /// direct tier), so they answer `true` at once; only explicit matrices
+    /// supplied via [`TopologyBuilder::with_distance_matrix`] are checked,
+    /// in O(n³).
     pub fn is_metric(&self) -> bool {
+        if let Distances::Tiered { .. } = self.distances {
+            return true;
+        }
         let n = self.num_nodes();
         for x in 0..n {
             for y in 0..n {
@@ -347,6 +467,43 @@ mod tests {
         assert_eq!(t.distance(NodeId(0), NodeId(7)), 8);
         assert_eq!(t.distance(NodeId(0), NodeId(3)), 2);
         assert_eq!(t.distance(NodeId(0), NodeId(1)), 1);
+    }
+
+    #[test]
+    fn tiered_distance_minima() {
+        let t = small();
+        let tiers = t.tiers();
+        for i in t.node_ids() {
+            assert_eq!(t.min_same_rack_distance(i), Some(tiers.same_rack));
+            assert_eq!(t.min_cross_rack_distance(i), Some(tiers.cross_rack));
+        }
+    }
+
+    #[test]
+    fn single_node_rack_has_no_peer_distance() {
+        let t = generate::heterogeneous(&[1, 2], DistanceTiers::default());
+        assert_eq!(t.min_same_rack_distance(NodeId(0)), None);
+        assert_eq!(t.min_cross_rack_distance(NodeId(0)), Some(2));
+    }
+
+    #[test]
+    fn dense_minima_scan_the_matrix() {
+        let mut b = TopologyBuilder::new(DistanceTiers::default());
+        let c = b.add_cloud("c");
+        let (r0, r1) = (b.add_rack(c), b.add_rack(c));
+        b.add_node(r0);
+        b.add_node(r0);
+        b.add_node(r1);
+        // Same-rack hop 5 exceeds the cross-rack hops 3 and 4.
+        b.with_distance_matrix(
+            DistanceMatrix::from_rows(&[vec![0, 5, 3], vec![5, 0, 4], vec![3, 4, 0]]).unwrap(),
+        );
+        let t = b.build();
+        assert_eq!(t.min_same_rack_distance(NodeId(0)), Some(5));
+        assert_eq!(t.min_cross_rack_distance(NodeId(0)), Some(3));
+        assert_eq!(t.min_cross_rack_distance(NodeId(1)), Some(4));
+        assert_eq!(t.min_same_rack_distance(NodeId(2)), None);
+        assert_eq!(t.min_cross_rack_distance(NodeId(2)), Some(3));
     }
 
     #[test]
