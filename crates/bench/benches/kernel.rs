@@ -1,12 +1,9 @@
-//! Criterion benches for the simulation substrates: the event kernel and
-//! the max-min fair-share computation.
+//! Criterion bench for the discrete-event kernel. The fair-share solver
+//! and flow-network drain benches live in `netsim.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::sync::Arc;
 use vc_des::{Engine, SimTime};
-use vc_netsim::{max_min_fair_share, FlowNet, NetworkParams};
-use vc_topology::{generate, NodeId};
 
 fn bench_event_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("des_engine");
@@ -31,56 +28,5 @@ fn bench_event_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fair_share(c: &mut Criterion) {
-    let mut group = c.benchmark_group("max_min_fair_share");
-    group
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(3));
-    for flows in [16usize, 64, 256] {
-        // 70 resources ≈ the paper topology's NICs + uplinks.
-        let caps = vec![119.0f64; 70];
-        let paths: Vec<Vec<usize>> = (0..flows)
-            .map(|f| vec![f % 70, (f * 13 + 7) % 70, (f * 29 + 3) % 70])
-            .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(flows), &paths, |b, paths| {
-            b.iter(|| max_min_fair_share(black_box(&caps), black_box(paths)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_flownet_churn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flownet");
-    group
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3));
-    let topo = Arc::new(generate::paper_simulation());
-    group.bench_function("churn_200_flows", |b| {
-        b.iter(|| {
-            let mut net = FlowNet::new(Arc::clone(&topo), NetworkParams::default());
-            for i in 0..200u64 {
-                net.start_flow(
-                    SimTime::from_micros(i * 97),
-                    NodeId((i % 30) as u32),
-                    NodeId(((i * 7 + 1) % 30) as u32),
-                    1_000_000 + i * 10_000,
-                    i,
-                );
-            }
-            let mut done = 0usize;
-            while let Some(t) = net.next_event_time() {
-                done += net.take_completed(t).len();
-            }
-            black_box(done)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_event_kernel,
-    bench_fair_share,
-    bench_flownet_churn
-);
+criterion_group!(benches, bench_event_kernel);
 criterion_main!(benches);

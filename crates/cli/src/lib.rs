@@ -43,7 +43,6 @@ pub fn run(argv: &[String]) -> Result<String, ArgError> {
         "simulate-queue" => commands::simulate_queue(&parsed),
         "simulate" | "run" => commands::simulate(&parsed),
         "report" => commands::report(&parsed),
-        "profile" => commands::profile(&parsed),
         "derive-distance" => commands::derive_distance(&parsed),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(ArgError::new(format!(
@@ -68,7 +67,6 @@ COMMANDS:
     report            analyse a recorded trace: critical path + placement audit
     diff              compare two recorded runs: metric deltas + attribution
     compare           paired multi-seed A/B re-run of two configs
-    profile           compare two perf snapshots; fail on regressions
     derive-distance   derive a distance matrix from network latencies
     help              show this text
 
@@ -164,8 +162,14 @@ DIFF OPTIONS:
                            run documents written by `simulate --metrics-out`;
                            both must carry a run manifest and agree on
                            schema, --window-us and topology
-    --tolerance-pct <F>    treat relative deltas below this as neutral for
-                           non-deterministic metrics       [default: 0]
+    --tolerance-pct <F>    treat relative deltas within this percentage as
+                           neutral for every metric; 0 is exact-match
+                           [default: 0]
+                           Effort counters (prof.solver.{solves,flows,
+                           iterations,links_touched,completion_batches},
+                           des.events_processed, prof.phase.*.calls) are
+                           lower-better and neutral within max(F, 10)%;
+                           wall-clock prof.* metrics are advisory
     --top <N>              rows in the explanation section  [default: 5]
     --fail-on-regress      exit 1 (`diff gate: FAIL`) if any non-advisory
                            metric regressed; prints `diff gate: PASS`
@@ -176,15 +180,6 @@ DIFF OPTIONS:
     --config-b <ARGS>      quoted simulate flags for side B
     --seeds <N>            common seeds to re-run per side  [default: 5]
     --seed <N>             first seed                       [default: 0]
-
-PROFILE OPTIONS:
-    --current <FILE>       perf JSON to check (from `report --perf --json`)
-    --baseline <FILE>      perf JSON to compare against
-    --max-regress-pct <F>  fail if a deterministic effort counter grows by
-                           more than this percentage        [default: 10]
-    --max-wall-regress-pct <F>  also gate wall-clock metrics (off when
-                           negative)                        [default: -1]
-    --json                 emit the comparison as JSON
 "
     .to_string()
 }
@@ -1416,56 +1411,5 @@ mod diff_cli_tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains("--metrics-out"), "{err}");
-    }
-
-    #[test]
-    fn profile_warns_on_mismatched_run_manifests() {
-        let (mp_a, ms_a) = tmp("affinity_vc_prof_a_metrics.json");
-        let (mp_b, ms_b) = tmp("affinity_vc_prof_b_metrics.json");
-        call(&[
-            "simulate",
-            "--requests",
-            "4",
-            "--seed",
-            "1",
-            "--metrics-out",
-            &ms_a,
-        ])
-        .unwrap();
-        call(&[
-            "simulate",
-            "--requests",
-            "4",
-            "--seed",
-            "2",
-            "--metrics-out",
-            &ms_b,
-        ])
-        .unwrap();
-        let (pp_a, ps_a) = tmp("affinity_vc_prof_a_perf.json");
-        let (pp_b, ps_b) = tmp("affinity_vc_prof_b_perf.json");
-        let perf_a = call(&["report", "--perf", "--json", "--metrics", &ms_a]).unwrap();
-        let perf_b = call(&["report", "--perf", "--json", "--metrics", &ms_b]).unwrap();
-        std::fs::write(&pp_a, perf_a).unwrap();
-        std::fs::write(&pp_b, perf_b).unwrap();
-        // Different seeds: profile still runs but warns.
-        let out = call(&[
-            "profile",
-            "--current",
-            &ps_a,
-            "--baseline",
-            &ps_b,
-            "--max-regress-pct",
-            "100000",
-        ])
-        .unwrap();
-        assert!(out.contains("warning:"), "{out}");
-        assert!(out.contains("different seeds"), "{out}");
-        // Same file on both sides: no warning.
-        let out = call(&["profile", "--current", &ps_a, "--baseline", &ps_a]).unwrap();
-        assert!(!out.contains("warning:"), "{out}");
-        for p in [mp_a, mp_b, pp_a, pp_b] {
-            std::fs::remove_file(p).ok();
-        }
     }
 }

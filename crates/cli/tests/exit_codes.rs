@@ -115,84 +115,58 @@ fn missing_stream_file_exits_nonzero() {
 }
 
 #[test]
-fn profile_gate_pass_exits_zero_and_fail_exits_one() {
-    // Produce two perf snapshots of different-sized runs; comparing a
-    // snapshot against itself passes, against the smaller one fails.
-    let (mp_a, mps_a) = tmp("affinity_vc_gate_small.json");
-    let (mp_b, mps_b) = tmp("affinity_vc_gate_big.json");
-    let (pp_a, pps_a) = tmp("affinity_vc_gate_small_perf.json");
-    let (pp_b, pps_b) = tmp("affinity_vc_gate_big_perf.json");
-
-    let sim = run(&[
-        "simulate",
-        "--requests",
-        "3",
-        "--maps",
-        "4",
-        "--metrics-out",
-        &mps_a,
-    ]);
-    assert!(sim.status.success(), "{}", stderr(&sim));
+fn diff_gate_trips_on_effort_counter_regression() {
+    // The perf gate: a candidate whose fair-share solver did 20% more
+    // solves fails `--fail-on-regress` by name even though no outcome
+    // metric moved; effort counters gate at 10% unless the tolerance is
+    // wider.
+    let (bp, bps) = tmp("affinity_vc_effort_base.json");
+    let (cp, cps) = tmp("affinity_vc_effort_cand.json");
     let sim = run(&[
         "simulate",
         "--requests",
         "6",
         "--maps",
-        "8",
+        "4",
         "--metrics-out",
-        &mps_b,
+        &bps,
     ]);
     assert!(sim.status.success(), "{}", stderr(&sim));
+    let text = std::fs::read_to_string(&bp).unwrap();
+    let key = "\"prof.solver.solves\": ";
+    let at = text.find(key).expect("run records solver solves") + key.len();
+    let len = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let solves: u64 = text[at..at + len].parse().unwrap();
+    assert!(solves >= 10, "too few solves to move by 20%: {solves}");
+    let raised = solves * 6 / 5;
+    std::fs::write(&cp, format!("{}{raised}{}", &text[..at], &text[at + len..])).unwrap();
 
-    for (metrics, perf) in [(&mps_a, &pps_a), (&mps_b, &pps_b)] {
-        let rep = run(&["report", "--perf", "--metrics", metrics, "--json"]);
-        assert!(rep.status.success(), "{}", stderr(&rep));
-        std::fs::write(perf, stdout(&rep)).unwrap();
-    }
-
-    let pass = run(&["profile", "--current", &pps_a, "--baseline", &pps_a]);
+    let pass = run(&["diff", &bps, &bps, "--fail-on-regress"]);
     assert_eq!(pass.status.code(), Some(0), "{}", stderr(&pass));
     assert!(
-        stdout(&pass).contains("perf gate: PASS"),
+        stdout(&pass).contains("diff gate: PASS"),
         "{}",
         stdout(&pass)
     );
 
-    let fail = run(&["profile", "--current", &pps_b, "--baseline", &pps_a]);
-    assert_eq!(fail.status.code(), Some(1), "self vs smaller must regress");
+    let fail = run(&["diff", &bps, &cps, "--fail-on-regress"]);
+    assert_eq!(fail.status.code(), Some(1), "+20% solves must regress");
     let err = stderr(&fail);
-    assert!(err.contains("perf gate: FAIL"), "{err}");
-    assert!(err.contains("solver.solves"), "{err}");
+    assert!(err.contains("diff gate: FAIL"), "{err}");
+    assert!(err.contains("prof.solver.solves"), "{err}");
 
-    // A generous threshold turns the same comparison into a pass.
+    // A generous tolerance turns the same comparison into a pass.
     let relaxed = run(&[
-        "profile",
-        "--current",
-        &pps_b,
-        "--baseline",
-        &pps_a,
-        "--max-regress-pct",
+        "diff",
+        &bps,
+        &cps,
+        "--fail-on-regress",
+        "--tolerance-pct",
         "1000",
     ]);
+    std::fs::remove_file(&bp).ok();
+    std::fs::remove_file(&cp).ok();
     assert_eq!(relaxed.status.code(), Some(0), "{}", stderr(&relaxed));
-
-    for p in [&mp_a, &mp_b, &pp_a, &pp_b] {
-        std::fs::remove_file(p).ok();
-    }
-}
-
-#[test]
-fn profile_rejects_non_perf_document() {
-    let (path, path_s) = tmp("affinity_vc_not_perf.json");
-    std::fs::write(&path, r#"{"counters": {}}"#).unwrap();
-    let out = run(&["profile", "--current", &path_s, "--baseline", &path_s]);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        stderr(&out).contains("not a perf document"),
-        "{}",
-        stderr(&out)
-    );
 }
 
 #[test]
@@ -402,6 +376,17 @@ fn non_finite_or_non_positive_rate_exits_one() {
             let err = stderr(&out);
             assert!(err.contains("--rate"), "{cmd} --rate {rate}: {err}");
         }
+    }
+    // Finite and positive, but so small that the arrival horizon would
+    // overflow simulated time.
+    for argv in [
+        &["simulate", "--rate", "1e-300"][..],
+        &["simulate-queue", "--requests", "5", "--rate", "1e-15"],
+    ] {
+        let out = run(argv);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        let err = stderr(&out);
+        assert!(err.contains("--rate"), "{argv:?}: {err}");
     }
 }
 

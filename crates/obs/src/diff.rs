@@ -8,12 +8,16 @@
 //! (same schema, sampling window, and topology), aligns every section,
 //! and classifies each delta as improved / regressed / neutral:
 //!
-//! * **Deterministic counters** (served, refused, shuffle bytes, solver
-//!   effort, ...) are exact-match by default; a configurable relative
-//!   tolerance widens the neutral band.
+//! * **Deterministic counters** (served, refused, shuffle bytes, ...)
+//!   are exact-match by default; a configurable relative tolerance
+//!   widens the neutral band.
 //! * **Directional metrics** carry a goodness direction (refusals down
 //!   = improved, served up = improved); undirected metrics report as
 //!   neutral changes.
+//! * **Effort counters** (fair-share solver work, DES events processed,
+//!   `prof.phase.*.calls`) are lower-better and neutral within
+//!   `max(tolerance, 10)` percent: the simulator's
+//!   own cost gate, which trips when a change does materially more work.
 //! * **Wall-clock metrics** (`prof.*.wall_us`, `prof.rss_peak_kb`) are
 //!   *advisory*: reported, never counted as regressions — so a
 //!   same-seed identity diff gates clean on a noisy machine.
@@ -28,11 +32,28 @@ use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Relative band (percent) within which an effort counter's change is
+/// neutral even at `tolerance_pct` 0: small algorithmic shifts move
+/// solver effort, a >10% jump means the simulator got materially dearer.
+const EFFORT_TOLERANCE_PCT: f64 = 10.0;
+
+/// Deterministic simulator-effort counters, gated lower-better at
+/// [`EFFORT_TOLERANCE_PCT`] (plus every `prof.phase.<name>.calls`).
+const EFFORT_COUNTERS: &[&str] = &[
+    "prof.solver.solves",
+    "prof.solver.flows",
+    "prof.solver.iterations",
+    "prof.solver.links_touched",
+    "prof.solver.completion_batches",
+    "des.events_processed",
+];
+
 /// Knobs for delta classification.
 #[derive(Debug, Clone)]
 pub struct DiffOptions {
     /// Relative tolerance in percent; deltas within it are neutral.
-    /// 0 (the default) means deterministic exact-match.
+    /// 0 (the default) means deterministic exact-match; effort counters
+    /// are never tighter than 10%.
     pub tolerance_pct: f64,
     /// How many entries each ranked explanation list keeps.
     pub top: usize,
@@ -73,6 +94,9 @@ impl Verdict {
 enum Direction {
     LowerBetter,
     HigherBetter,
+    /// Simulator effort: lower-better, neutral within
+    /// [`EFFORT_TOLERANCE_PCT`].
+    Effort,
     /// No goodness direction — changes report as neutral.
     Undirected,
     /// Host wall-clock: reported but never gated on.
@@ -84,6 +108,9 @@ enum Direction {
 fn direction(name: &str) -> Direction {
     if name == "prof.rss_peak_kb" || (name.starts_with("prof.") && name.ends_with(".wall_us")) {
         return Direction::Advisory;
+    }
+    if EFFORT_COUNTERS.contains(&name) || crate::prof::PHASES.iter().any(|ph| ph.calls == name) {
+        return Direction::Effort;
     }
     if name.starts_with("alert.total.") {
         return Direction::LowerBetter;
@@ -118,6 +145,11 @@ fn classify(baseline: f64, candidate: f64, dir: Direction, tolerance_pct: f64) -
     if baseline == candidate {
         return Verdict::Neutral;
     }
+    let tolerance_pct = if dir == Direction::Effort {
+        tolerance_pct.max(EFFORT_TOLERANCE_PCT)
+    } else {
+        tolerance_pct
+    };
     if tolerance_pct > 0.0 {
         let scale = baseline.abs().max(f64::MIN_POSITIVE);
         if (candidate - baseline).abs() / scale * 100.0 <= tolerance_pct {
@@ -126,7 +158,7 @@ fn classify(baseline: f64, candidate: f64, dir: Direction, tolerance_pct: f64) -
     }
     match dir {
         Direction::Undirected | Direction::Advisory => Verdict::Neutral,
-        Direction::LowerBetter => {
+        Direction::LowerBetter | Direction::Effort => {
             if candidate < baseline {
                 Verdict::Improved
             } else {
@@ -1271,6 +1303,34 @@ mod tests {
         .unwrap();
         assert_eq!(loose.regressed(), 0);
         assert_eq!(loose.changed(), 1, "still reported as changed");
+    }
+
+    #[test]
+    fn effort_counters_gate_at_ten_percent() {
+        let delta = |name: &str, candidate: u64, tolerance_pct: f64| {
+            let a = doc("affinity", &[(name, 100)]);
+            let b = doc("affinity", &[(name, candidate)]);
+            let opts = DiffOptions {
+                tolerance_pct,
+                top: 5,
+            };
+            let r = diff(&a, &b, &opts).unwrap();
+            let d = r.counters.iter().find(|d| d.name == name).unwrap();
+            (d.verdict, d.advisory)
+        };
+        for name in ["prof.solver.solves", "prof.phase.seed_scan.calls"] {
+            assert_eq!(delta(name, 109, 0.0).0, Verdict::Neutral, "{name} +9%");
+            assert_eq!(delta(name, 111, 0.0).0, Verdict::Regressed, "{name} +11%");
+            assert_eq!(delta(name, 89, 0.0).0, Verdict::Improved, "{name} -11%");
+            assert_eq!(delta(name, 150, 1000.0).0, Verdict::Neutral, "{name} +50%");
+        }
+        for candidate in [109, 111, 89, 150] {
+            assert_eq!(
+                delta("prof.phase.serve.wall_us", candidate, 0.0),
+                (Verdict::Neutral, true),
+                "wall clock stays advisory at {candidate}"
+            );
+        }
     }
 
     #[test]

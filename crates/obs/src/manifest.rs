@@ -163,16 +163,6 @@ impl RunManifest {
         h.finish()
     }
 
-    /// Whether two manifests describe the *same* run configuration
-    /// (everything but the seed).
-    pub fn same_config(&self, other: &Self) -> bool {
-        self.command == other.command
-            && self.policy == other.policy
-            && self.window_us == other.window_us
-            && self.topology_digest == other.topology_digest
-            && self.config == other.config
-    }
-
     /// JSON form (includes the computed `digest` field).
     pub fn to_json(&self) -> Value {
         let config: Vec<(String, Value)> = self
@@ -389,16 +379,6 @@ mod tests {
     fn missing_field_is_named() {
         let err = RunManifest::from_json(&serde_json::json!({"schema_version": 1})).unwrap_err();
         assert!(err.contains("crate_version"), "{err}");
-    }
-
-    #[test]
-    fn same_config_ignores_seed() {
-        let a = sample();
-        let mut b = a.clone();
-        b.seed = 99;
-        assert!(a.same_config(&b));
-        b.policy = "spread".to_string();
-        assert!(!a.same_config(&b));
     }
 
     #[test]
