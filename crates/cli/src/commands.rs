@@ -3,6 +3,7 @@
 use crate::args::{ArgError, Parsed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::OnceCell;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::sync::Arc;
@@ -294,13 +295,15 @@ impl CliRecorder {
 fn write_observability(
     p: &Parsed,
     trace: &MergedTrace,
+    chrome: &OnceCell<serde_json::Value>,
     manifest: &RunManifest,
     doc: Option<&serde_json::Value>,
 ) -> Result<(), ArgError> {
     match p.str_or("trace-out", "") {
         "" => {}
         path => {
-            vc_obs::trace::save_trace_value(&trace.chrome_trace(), path)
+            let chrome = chrome.get_or_init(|| trace.chrome_trace());
+            vc_obs::trace::save_trace_value(chrome, path)
                 .map_err(|e| ArgError::new(format!("--trace-out {path}: {e}")))?;
         }
     }
@@ -352,17 +355,19 @@ fn write_observability(
 }
 
 /// The run document: the metrics snapshot extended with the manifest,
-/// per-job critical-path attribution, and (when `--window-us` sampled)
-/// the windowed `ts.*` series. This is the unit `vc diff` aligns.
+/// per-job critical-path attribution (from `chrome`, the run's Chrome
+/// trace), and (when `--window-us` sampled) the windowed `ts.*` series.
+/// This is the unit `vc diff` aligns.
 fn run_document(
     trace: &MergedTrace,
+    chrome: &serde_json::Value,
     manifest: &RunManifest,
 ) -> Result<serde_json::Value, ArgError> {
     let serde_json::Value::Object(mut entries) = trace.metrics.to_json() else {
         return Err(ArgError::new("internal: metrics snapshot is not an object"));
     };
     entries.push((MANIFEST_KEY.to_string(), manifest.to_json()));
-    let dump = TraceDump::from_chrome_value(&trace.chrome_trace())
+    let dump = TraceDump::from_chrome_value(chrome)
         .map_err(|e| ArgError::new(format!("internal trace: {e}")))?;
     let jobs = vc_obs::analyze(&dump);
     entries.push((
@@ -432,12 +437,15 @@ fn run_recorded_command<T>(
     let trace = rec.finish()?;
     let metrics_path = p.str_or("metrics-out", "");
     let want_doc = capture || (!metrics_path.is_empty() && !metrics_path.ends_with(".csv"));
+    // The attribution and `--trace-out` share one rendering of the trace.
+    let chrome = OnceCell::new();
     let doc = if want_doc {
-        Some(run_document(&trace, manifest)?)
+        let chrome = chrome.get_or_init(|| trace.chrome_trace());
+        Some(run_document(&trace, chrome, manifest)?)
     } else {
         None
     };
-    write_observability(p, &trace, manifest, doc.as_ref())?;
+    write_observability(p, &trace, &chrome, manifest, doc.as_ref())?;
     Ok(RecordedRun {
         result,
         spans: trace.spans.len(),

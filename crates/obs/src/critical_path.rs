@@ -127,7 +127,8 @@ impl TraceDump {
     }
 
     pub fn from_mem(rec: &crate::recorder::MemRecorder) -> Self {
-        Self::from_records(&rec.spans(), &rec.events())
+        let buffers = rec.buffers();
+        Self::from_records(&buffers.spans, &buffers.events)
     }
 
     /// Parse a Chrome trace-event document (the `--trace-out` format)
@@ -140,7 +141,12 @@ impl TraceDump {
             .ok_or_else(|| "trace file has no traceEvents array".to_string())?;
         let mut dump = TraceDump::default();
         for e in events {
+            // Decide on `ph` before copying anything: counter samples and
+            // metadata, most of a simulation trace, are skipped for free.
             let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
+            if ph != "X" && ph != "i" {
+                continue;
+            }
             let name = e
                 .get("name")
                 .and_then(Value::as_str)
@@ -149,37 +155,30 @@ impl TraceDump {
             let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
             let ts = e.get("ts").and_then(Value::as_u64).unwrap_or(0);
             let attrs: Vec<(String, Value)> = match e.get("args") {
-                Some(Value::Object(entries)) => entries
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
+                Some(Value::Object(entries)) => entries.clone(),
                 _ => Vec::new(),
             };
-            match ph {
-                "X" => {
-                    let dur = e.get("dur").and_then(Value::as_u64).unwrap_or(0);
-                    let unterminated = attrs
-                        .iter()
-                        .any(|(k, v)| k == "unterminated" && matches!(v, Value::Bool(true)));
-                    dump.spans.push(DumpSpan {
-                        track: tid,
-                        name,
-                        start_us: ts,
-                        end_us: ts + dur,
-                        attrs,
-                        unterminated,
-                    });
-                }
-                "i" => {
-                    let scoped = e.get("s").and_then(Value::as_str) == Some("t");
-                    dump.events.push(DumpEvent {
-                        name,
-                        t_us: ts,
-                        track: scoped.then_some(tid),
-                        attrs,
-                    });
-                }
-                _ => {}
+            if ph == "X" {
+                let dur = e.get("dur").and_then(Value::as_u64).unwrap_or(0);
+                let unterminated = attrs
+                    .iter()
+                    .any(|(k, v)| k == "unterminated" && matches!(v, Value::Bool(true)));
+                dump.spans.push(DumpSpan {
+                    track: tid,
+                    name,
+                    start_us: ts,
+                    end_us: ts.saturating_add(dur),
+                    attrs,
+                    unterminated,
+                });
+            } else {
+                let scoped = e.get("s").and_then(Value::as_str) == Some("t");
+                dump.events.push(DumpEvent {
+                    name,
+                    t_us: ts,
+                    track: scoped.then_some(tid),
+                    attrs,
+                });
             }
         }
         Ok(dump)

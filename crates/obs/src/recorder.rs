@@ -1,7 +1,7 @@
 //! The [`Recorder`] sink trait plus the two standard implementations:
 //! [`NoopRecorder`] (zero cost) and [`MemRecorder`] (in-memory buffers).
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -247,13 +247,13 @@ pub struct SpanRecord {
 }
 
 #[derive(Debug, Default)]
-struct MemInner {
-    events: Vec<EventRecord>,
-    spans: Vec<SpanRecord>,
+pub(crate) struct MemInner {
+    pub(crate) events: Vec<EventRecord>,
+    pub(crate) spans: Vec<SpanRecord>,
     /// Open span id → index into `spans`.
     open: BTreeMap<u64, usize>,
-    track_names: BTreeMap<u64, String>,
-    counter_series: BTreeMap<&'static str, Vec<(u64, f64)>>,
+    pub(crate) track_names: BTreeMap<u64, String>,
+    pub(crate) counter_series: BTreeMap<&'static str, Vec<(u64, f64)>>,
     metrics: MetricsRegistry,
     next_span: u64,
     /// Per-series high-water sample timestamp: the gauge mirror of
@@ -302,6 +302,13 @@ impl MemRecorder {
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.borrow().metrics.snapshot()
     }
+
+    /// Borrow the recorded buffers in place. Exporters in this crate
+    /// read through this rather than the cloning accessors above.
+    pub(crate) fn buffers(&self) -> Ref<'_, MemInner> {
+        self.inner.borrow()
+    }
+
     /// The recorded run as a [`MergedTrace`], moving the buffers out
     /// rather than cloning them.
     pub fn into_trace(self) -> MergedTrace {

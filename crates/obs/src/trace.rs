@@ -31,26 +31,42 @@ pub(crate) fn attr_value_json(v: &AttrValue) -> Value {
     }
 }
 
-fn args_json(attrs: &[(&'static str, AttrValue)]) -> Value {
+/// A JSON object with its fields in the given order. Every value is
+/// moved in: an already-built [`Value`] must never go through `json!`,
+/// whose `to_value(&expr)` expansion deep-copies it.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
     Value::Object(
-        attrs
-            .iter()
-            .map(|(k, v)| (k.to_string(), attr_value_json(v)))
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
 }
 
-/// Build the full trace document for one recorded run.
+/// A record's `args` object: its attributes in order, then `flag`.
+fn args_json(attrs: &[(&'static str, AttrValue)], flag: Option<(&str, Value)>) -> Value {
+    Value::Object(
+        attrs
+            .iter()
+            .map(|(k, v)| (k.to_string(), attr_value_json(v)))
+            .chain(flag.map(|(k, v)| (k.to_string(), v)))
+            .collect(),
+    )
+}
+
+/// Build the full trace document for one recorded run, reading the
+/// recorder's buffers in place.
 ///
 /// Open spans (missing `span_end`, e.g. after a panic) are emitted as
 /// zero-duration events flagged with `"unterminated": true` rather than
 /// dropped, so partial traces remain inspectable.
 pub fn chrome_trace(rec: &MemRecorder) -> Value {
+    let buffers = rec.buffers();
     chrome_trace_parts(
-        &rec.spans(),
-        &rec.events(),
-        &rec.track_names(),
-        &rec.counter_series(),
+        &buffers.spans,
+        &buffers.events,
+        &buffers.track_names,
+        &buffers.counter_series,
     )
 }
 
@@ -66,86 +82,84 @@ impl MergedTrace {
     }
 }
 
-/// Build the trace document from raw recorder buffers.
+/// Build the trace document from raw recorder buffers: the one Chrome
+/// renderer. Each event is built once and moved into a `traceEvents`
+/// vector sized exactly up front, so no part of the tree is copied.
 fn chrome_trace_parts(
     spans: &[SpanRecord],
     instants: &[EventRecord],
     track_names: &BTreeMap<u64, String>,
     counter_series: &BTreeMap<&'static str, Vec<(u64, f64)>>,
 ) -> Value {
-    let mut events: Vec<Value> = Vec::new();
+    let samples: usize = counter_series.values().map(Vec::len).sum();
+    let mut events: Vec<Value> =
+        Vec::with_capacity(1 + track_names.len() + spans.len() + instants.len() + samples);
 
-    events.push(json!({
-        "ph": "M",
-        "name": "process_name",
-        "pid": 0,
-        "tid": 0,
-        "args": {"name": "affinity-vc simulation"},
-    }));
+    events.push(object([
+        ("ph", json!("M")),
+        ("name", json!("process_name")),
+        ("pid", json!(0)),
+        ("tid", json!(0)),
+        ("args", object([("name", json!("affinity-vc simulation"))])),
+    ]));
 
     for (tid, name) in track_names {
-        events.push(json!({
-            "ph": "M",
-            "name": "thread_name",
-            "pid": 0,
-            "tid": tid,
-            "args": {"name": name.as_str()},
-        }));
+        events.push(object([
+            ("ph", json!("M")),
+            ("name", json!("thread_name")),
+            ("pid", json!(0)),
+            ("tid", json!(tid)),
+            ("args", object([("name", json!(name.as_str()))])),
+        ]));
     }
 
     for span in spans {
         let (dur, unterminated) = match span.end_us {
-            Some(end) => (end.saturating_sub(span.start_us), false),
-            None => (0, true),
+            Some(end) => (end.saturating_sub(span.start_us), None),
+            None => (0, Some(("unterminated", json!(true)))),
         };
-        let mut args = args_json(&span.attrs);
-        if unterminated {
-            if let Value::Object(entries) = &mut args {
-                entries.push(("unterminated".to_string(), json!(true)));
-            }
-        }
-        events.push(json!({
-            "ph": "X",
-            "name": span.name,
-            "pid": 0,
-            "tid": span.track.0,
-            "ts": span.start_us,
-            "dur": dur,
-            "args": args,
-        }));
+        events.push(object([
+            ("ph", json!("X")),
+            ("name", json!(span.name)),
+            ("pid", json!(0)),
+            ("tid", json!(span.track.0)),
+            ("ts", json!(span.start_us)),
+            ("dur", json!(dur)),
+            ("args", args_json(&span.attrs, unterminated)),
+        ]));
     }
 
     for event in instants {
         let tid = event.track.map(|t| t.0).unwrap_or(0);
         let scope = if event.track.is_some() { "t" } else { "g" };
-        events.push(json!({
-            "ph": "i",
-            "name": event.name,
-            "pid": 0,
-            "tid": tid,
-            "ts": event.t_us,
-            "s": scope,
-            "args": args_json(&event.attrs),
-        }));
+        events.push(object([
+            ("ph", json!("i")),
+            ("name", json!(event.name)),
+            ("pid", json!(0)),
+            ("tid", json!(tid)),
+            ("ts", json!(event.t_us)),
+            ("s", json!(scope)),
+            ("args", args_json(&event.attrs, None)),
+        ]));
     }
 
     for (name, series) in counter_series {
         for &(t_us, value) in series {
-            events.push(json!({
-                "ph": "C",
-                "name": name,
-                "pid": 0,
-                "tid": 0,
-                "ts": t_us,
-                "args": {"value": value},
-            }));
+            events.push(object([
+                ("ph", json!("C")),
+                ("name", json!(name)),
+                ("pid", json!(0)),
+                ("tid", json!(0)),
+                ("ts", json!(t_us)),
+                ("args", object([("value", json!(value))])),
+            ]));
         }
     }
 
-    json!({
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-    })
+    object([
+        ("traceEvents", Value::Array(events)),
+        ("displayTimeUnit", json!("ms")),
+    ])
 }
 
 /// Write an already-built trace document to `path`.
@@ -205,5 +219,110 @@ mod tests {
         let text = serde_json::to_string(&doc).unwrap();
         let back: Value = serde_json::from_str(&text).unwrap();
         assert_eq!(back["traceEvents"].as_array().unwrap().len(), 6);
+    }
+
+    /// One recorder touching every renderer branch: named tracks (one
+    /// name needing escapes), a terminated span with attrs of every
+    /// `AttrValue` variant plus a late `span_attr`, an unterminated
+    /// span, thread- and global-scoped instants, and two counter series.
+    fn golden_recorder() -> MemRecorder {
+        let rec = MemRecorder::new();
+        rec.track_name(TrackId(1), "vm1@node0");
+        rec.track_name(TrackId(7), "queue \"fifo\"");
+        let map = rec.span_begin(
+            TrackId(1),
+            "map",
+            10,
+            &[
+                ("task", AttrValue::U64(4)),
+                ("skew", AttrValue::I64(-3)),
+                ("frac", AttrValue::F64(0.25)),
+                ("local", AttrValue::Bool(true)),
+                ("locality", AttrValue::Str("node_local")),
+                ("host", AttrValue::Owned("node0".to_string())),
+            ],
+        );
+        rec.span_attr(map, "slowdown", AttrValue::F64(2.0));
+        rec.span_end(map, 60);
+        let _open = rec.span_begin(TrackId(7), "reduce", 70, &[("task", AttrValue::U64(1))]);
+        rec.event(
+            "speculative_launch",
+            30,
+            Some(TrackId(1)),
+            &[("attempt", AttrValue::U64(2))],
+        );
+        rec.event("admit", 5, None, &[]);
+        rec.counter_sample("queue.depth", 0, 1.0);
+        rec.counter_sample("queue.depth", 40, 3.0);
+        rec.counter_sample("net.util", 20, 0.5);
+        rec
+    }
+
+    /// The golden recorder's compact Chrome trace. Any change to these
+    /// bytes is a change to the `--trace-out` format.
+    const GOLDEN: &str = concat!(
+        r#"{"traceEvents":["#,
+        r#"{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"affinity-vc simulation"}},"#,
+        r#"{"ph":"M","name":"thread_name","pid":0,"tid":1,"args":{"name":"vm1@node0"}},"#,
+        r#"{"ph":"M","name":"thread_name","pid":0,"tid":7,"args":{"name":"queue \"fifo\""}},"#,
+        r#"{"ph":"X","name":"map","pid":0,"tid":1,"ts":10,"dur":50,"args":{"task":4,"skew":-3,"#,
+        r#""frac":0.25,"local":true,"locality":"node_local","host":"node0","slowdown":2.0}},"#,
+        r#"{"ph":"X","name":"reduce","pid":0,"tid":7,"ts":70,"dur":0,"args":{"task":1,"unterminated":true}},"#,
+        r#"{"ph":"i","name":"speculative_launch","pid":0,"tid":1,"ts":30,"s":"t","args":{"attempt":2}},"#,
+        r#"{"ph":"i","name":"admit","pid":0,"tid":0,"ts":5,"s":"g","args":{}},"#,
+        r#"{"ph":"C","name":"net.util","pid":0,"tid":0,"ts":20,"args":{"value":0.5}},"#,
+        r#"{"ph":"C","name":"queue.depth","pid":0,"tid":0,"ts":0,"args":{"value":1.0}},"#,
+        r#"{"ph":"C","name":"queue.depth","pid":0,"tid":0,"ts":40,"args":{"value":3.0}}"#,
+        r#"],"displayTimeUnit":"ms"}"#,
+    );
+
+    #[test]
+    fn golden_trace_is_byte_identical() {
+        let rec = golden_recorder();
+        assert_eq!(serde_json::to_string(&chrome_trace(&rec)).unwrap(), GOLDEN);
+        let merged = golden_recorder().into_trace();
+        assert_eq!(
+            serde_json::to_string(&merged.chrome_trace()).unwrap(),
+            GOLDEN
+        );
+    }
+
+    #[test]
+    fn golden_trace_parses_back_to_the_recorded_spans_and_events() {
+        use crate::critical_path::TraceDump;
+
+        let rec = golden_recorder();
+        let parsed = TraceDump::from_chrome_value(&chrome_trace(&rec)).unwrap();
+        let direct = TraceDump::from_mem(&rec);
+        assert_eq!(parsed.spans.len(), 2);
+        assert_eq!(parsed.events.len(), 2);
+        for (p, d) in parsed.spans.iter().zip(&direct.spans) {
+            assert_eq!(
+                (p.track, &p.name, p.start_us, p.end_us, p.unterminated),
+                (d.track, &d.name, d.start_us, d.end_us, d.unterminated)
+            );
+            // The Chrome form carries the open-span flag as an extra arg.
+            let mut want = d.attrs.clone();
+            if d.unterminated {
+                want.push(("unterminated".to_string(), json!(true)));
+            }
+            assert_eq!(p.attrs, want);
+        }
+        assert_eq!(
+            parsed
+                .spans
+                .iter()
+                .map(|s| s.unterminated)
+                .collect::<Vec<_>>(),
+            [false, true]
+        );
+        for (p, d) in parsed.events.iter().zip(&direct.events) {
+            assert_eq!(
+                (&p.name, p.t_us, p.track, &p.attrs),
+                (&d.name, d.t_us, d.track, &d.attrs)
+            );
+        }
+        assert_eq!(parsed.events[0].track, Some(1));
+        assert_eq!(parsed.events[1].track, None);
     }
 }
