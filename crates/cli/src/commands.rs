@@ -226,7 +226,7 @@ fn rate_arg(p: &Parsed, requests: usize) -> Result<f64, ArgError> {
 /// [`MergedTrace`]; a stream's is replayed from the flushed file, so
 /// what you export is exactly what a later `report --stream` will see.
 enum CliRecorder {
-    Mem(MemRecorder),
+    Mem(Box<MemRecorder>),
     Sharded(ShardedRecorder),
     Stream {
         rec: StreamingRecorder<BufWriter<File>>,
@@ -243,7 +243,7 @@ impl CliRecorder {
     /// header; `manifest_from_jsonl` extracts it).
     fn build(p: &Parsed, threads: usize, manifest: &RunManifest) -> Result<Self, ArgError> {
         match p.str_or("stream-out", "") {
-            "" if threads == 1 => Ok(Self::Mem(MemRecorder::new())),
+            "" if threads == 1 => Ok(Self::Mem(Box::default())),
             "" => Ok(Self::Sharded(ShardedRecorder::new())),
             path => {
                 let mut file = File::create(path)
@@ -262,7 +262,7 @@ impl CliRecorder {
 
     fn as_recorder(&self) -> &dyn Recorder {
         match self {
-            Self::Mem(r) => r,
+            Self::Mem(r) => &**r,
             Self::Sharded(r) => r,
             Self::Stream { rec, .. } => rec,
         }

@@ -1,7 +1,8 @@
 //! Metrics registry: named counters, gauges, and log-bucketed histograms
 //! with JSON and CSV snapshot export.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -87,12 +88,115 @@ impl Histogram {
     }
 }
 
+/// Hasher for [`Slots`]' `(address, length)` keys: one multiply per
+/// word. The keys are addresses of the program's own strings, not
+/// outside input, so SipHash's collision resistance buys nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+fn addr_key(name: &'static str) -> (usize, usize) {
+    (name.as_ptr() as usize, name.len())
+}
+
+/// Dense storage for one kind of named value. Each name gets a fixed
+/// slot on first touch; later touches find it by the `&'static str`'s
+/// address and length, without hashing the text or allocating. A miss
+/// falls back to the text, so equal text at two addresses (an interned
+/// name and a literal) shares one slot. A `'static` string is never
+/// freed, so an address cannot come back holding other text.
+#[derive(Clone, Debug)]
+pub(crate) struct Slots<T> {
+    by_addr: HashMap<(usize, usize), usize, BuildHasherDefault<AddrHasher>>,
+    /// Text → slot, and the name-sorted view exporters read.
+    by_text: BTreeMap<&'static str, usize>,
+    values: Vec<T>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Self {
+            by_addr: HashMap::default(),
+            by_text: BTreeMap::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slots<T> {
+    /// The slot for `name`, created with `init` on the first touch.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        name: &'static str,
+        init: impl FnOnce() -> T,
+    ) -> &mut T {
+        let index = match self.by_addr.get(&addr_key(name)) {
+            Some(&index) => index,
+            None => self.insert(name, init),
+        };
+        &mut self.values[index]
+    }
+
+    #[cold]
+    fn insert(&mut self, name: &'static str, init: impl FnOnce() -> T) -> usize {
+        let values = &mut self.values;
+        let index = *self.by_text.entry(name).or_insert_with(|| {
+            values.push(init());
+            values.len() - 1
+        });
+        self.by_addr.insert(addr_key(name), index);
+        index
+    }
+
+    pub(crate) fn get(&self, name: &str) -> Option<&T> {
+        self.by_text.get(name).map(|&index| &self.values[index])
+    }
+
+    /// Every slot in name order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, &T)> {
+        self.by_text
+            .iter()
+            .map(|(&name, &index)| (name, &self.values[index]))
+    }
+
+    /// Every slot, moved out, in no particular order.
+    pub(crate) fn into_entries(self) -> impl Iterator<Item = (&'static str, T)> {
+        let mut names = vec![""; self.values.len()];
+        for (name, index) in self.by_text {
+            names[index] = name;
+        }
+        names.into_iter().zip(self.values)
+    }
+}
+
 /// Mutable registry of named metrics. Owned by a recorder during a run.
+///
+/// Each metric lives in a [`Slots`] slot, so once a name has been seen
+/// every update is one address lookup with no allocation.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Slots<u64>,
+    gauges: Slots<f64>,
+    histograms: Slots<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -100,26 +204,25 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
+        *self.counters.get_or_insert_with(name, || 0) += delta;
     }
 
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
+        *self.gauges.get_or_insert_with(name, || value) = value;
     }
 
     /// Track the running maximum of a gauge (e.g. peak queue depth).
-    pub fn gauge_max(&mut self, name: &str, value: f64) {
-        let slot = self.gauges.entry(name.to_string()).or_insert(f64::MIN);
+    pub fn gauge_max(&mut self, name: &'static str, value: f64) {
+        let slot = self.gauges.get_or_insert_with(name, || f64::MIN);
         if value > *slot {
             *slot = value;
         }
     }
 
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
+    pub fn histogram_record(&mut self, name: &'static str, value: u64) {
         self.histograms
-            .entry(name.to_string())
-            .or_default()
+            .get_or_insert_with(name, Histogram::default)
             .record(value);
     }
 
@@ -136,10 +239,16 @@ impl MetricsRegistry {
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
+        fn owned<T: Clone>(slots: &Slots<T>) -> BTreeMap<String, T> {
+            slots
+                .iter()
+                .map(|(name, v)| (name.to_string(), v.clone()))
+                .collect()
+        }
         MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
+            counters: owned(&self.counters),
+            gauges: owned(&self.gauges),
+            histograms: owned(&self.histograms),
         }
     }
 }
@@ -240,7 +349,7 @@ mod tests {
         let h = Histogram::default();
         assert_eq!(h.min, 0);
         let mut reg = MetricsRegistry::new();
-        reg.histograms.insert("empty".to_string(), h);
+        reg.histograms.get_or_insert_with("empty", || h);
         let snap = reg.snapshot();
         assert!(!snap.to_json_string().contains(&u64::MAX.to_string()));
         assert!(!snap.to_csv().contains(&u64::MAX.to_string()));

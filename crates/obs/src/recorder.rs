@@ -4,7 +4,7 @@
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot, Slots};
 use crate::sharded::MergedTrace;
 
 /// Timeline lane for spans — by convention one track per VM, with
@@ -246,23 +246,72 @@ pub struct SpanRecord {
     pub attrs: Vec<Attr>,
 }
 
+/// One counter-sample series: its points in arrival order and its
+/// high-water sample timestamp.
+#[derive(Debug, Default)]
+struct Series {
+    last_t: u64,
+    points: Vec<(u64, f64)>,
+}
+
+/// Every counter-sample series of a run, each in a [`Slots`] slot.
+#[derive(Debug, Default)]
+pub(crate) struct SampleSeries(Slots<Series>);
+
+impl SampleSeries {
+    /// Append a sample to its series. Returns whether no earlier sample
+    /// of the series is later in sim time: the gauge mirror of
+    /// [`Recorder::counter_sample`] only applies such samples, so the
+    /// final gauge value matches a `(t_us, seq)`-sorted replay of the
+    /// same stream (`ShardedRecorder::merged`, `stream::replay_jsonl`)
+    /// even when overlapping jobs emit the same series at out-of-order
+    /// timestamps.
+    pub(crate) fn push(&mut self, name: &'static str, t_us: u64, value: f64) -> bool {
+        let series = self.0.get_or_insert_with(name, Series::default);
+        series.points.push((t_us, value));
+        let newest = t_us >= series.last_t;
+        if newest {
+            series.last_t = t_us;
+        }
+        newest
+    }
+
+    /// Every series in name order, for exporters.
+    pub(crate) fn sorted(&self) -> Vec<(&'static str, &[(u64, f64)])> {
+        self.0
+            .iter()
+            .map(|(name, series)| (name, series.points.as_slice()))
+            .collect()
+    }
+
+    pub(crate) fn into_map(self) -> BTreeMap<&'static str, Vec<(u64, f64)>> {
+        self.0
+            .into_entries()
+            .map(|(name, series)| (name, series.points))
+            .collect()
+    }
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct MemInner {
     pub(crate) events: Vec<EventRecord>,
+    /// Span ids are handed out densely: span `id` sits at index `id - 1`.
     pub(crate) spans: Vec<SpanRecord>,
-    /// Open span id → index into `spans`.
-    open: BTreeMap<u64, usize>,
+    open_spans: usize,
     pub(crate) track_names: BTreeMap<u64, String>,
-    pub(crate) counter_series: BTreeMap<&'static str, Vec<(u64, f64)>>,
+    pub(crate) series: SampleSeries,
     metrics: MetricsRegistry,
-    next_span: u64,
-    /// Per-series high-water sample timestamp: the gauge mirror of
-    /// [`Recorder::counter_sample`] only applies in-sim-time-order
-    /// samples, so the final gauge value matches a `(t_us, seq)`-sorted
-    /// replay of the same stream (`ShardedRecorder::merged`,
-    /// `stream::replay_jsonl`) even when overlapping jobs emit the same
-    /// series at out-of-order timestamps.
-    sample_last_t: BTreeMap<&'static str, u64>,
+}
+
+impl MemInner {
+    /// The span `span` names, if it is still open. The null span (id 0)
+    /// has no index.
+    fn open_span(&mut self, span: SpanId) -> Option<&mut SpanRecord> {
+        let index = usize::try_from(span.0).ok()?.checked_sub(1)?;
+        self.spans
+            .get_mut(index)
+            .filter(|record| record.end_us.is_none())
+    }
 }
 
 /// Buffering recorder for single-threaded simulations. Interior
@@ -288,7 +337,7 @@ impl MemRecorder {
 
     /// Number of spans begun but not yet ended.
     pub fn open_span_count(&self) -> usize {
-        self.inner.borrow().open.len()
+        self.inner.borrow().open_spans
     }
 
     pub fn track_names(&self) -> BTreeMap<u64, String> {
@@ -296,7 +345,13 @@ impl MemRecorder {
     }
 
     pub fn counter_series(&self) -> BTreeMap<&'static str, Vec<(u64, f64)>> {
-        self.inner.borrow().counter_series.clone()
+        let inner = self.inner.borrow();
+        inner
+            .series
+            .sorted()
+            .into_iter()
+            .map(|(name, points)| (name, points.to_vec()))
+            .collect()
     }
 
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -317,9 +372,9 @@ impl MemRecorder {
             spans: inner.spans,
             events: inner.events,
             track_names: inner.track_names,
-            counter_series: inner.counter_series,
+            counter_series: inner.series.into_map(),
             metrics: inner.metrics.snapshot(),
-            open_spans: inner.open.len(),
+            open_spans: inner.open_spans,
         }
     }
 }
@@ -349,24 +404,10 @@ impl Recorder for MemRecorder {
     }
 
     fn counter_sample(&self, name: &'static str, t_us: u64, value: f64) {
-        let mut inner = self.inner.borrow_mut();
-        let apply = {
-            let last = inner.sample_last_t.entry(name).or_insert(0);
-            if t_us >= *last {
-                *last = t_us;
-                true
-            } else {
-                false
-            }
-        };
-        if apply {
+        let inner = &mut *self.inner.borrow_mut();
+        if inner.series.push(name, t_us, value) {
             inner.metrics.gauge_set(name, value);
         }
-        inner
-            .counter_series
-            .entry(name)
-            .or_default()
-            .push((t_us, value));
     }
 
     fn track_name(&self, track: TrackId, name: &str) {
@@ -387,9 +428,7 @@ impl Recorder for MemRecorder {
 
     fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
         let mut inner = self.inner.borrow_mut();
-        inner.next_span += 1;
-        let id = SpanId(inner.next_span);
-        let index = inner.spans.len();
+        let id = SpanId(inner.spans.len() as u64 + 1);
         inner.spans.push(SpanRecord {
             id,
             track,
@@ -398,27 +437,21 @@ impl Recorder for MemRecorder {
             end_us: None,
             attrs: attrs.to_vec(),
         });
-        inner.open.insert(id.0, index);
+        inner.open_spans += 1;
         id
     }
 
     fn span_end(&self, span: SpanId, t_us: u64) {
-        if span.is_null() {
-            return;
-        }
         let mut inner = self.inner.borrow_mut();
-        if let Some(index) = inner.open.remove(&span.0) {
-            inner.spans[index].end_us = Some(t_us);
+        if let Some(record) = inner.open_span(span) {
+            record.end_us = Some(t_us);
+            inner.open_spans -= 1;
         }
     }
 
     fn span_attr(&self, span: SpanId, key: &'static str, value: AttrValue) {
-        if span.is_null() {
-            return;
-        }
-        let mut inner = self.inner.borrow_mut();
-        if let Some(&index) = inner.open.get(&span.0) {
-            inner.spans[index].attrs.push((key, value));
+        if let Some(record) = self.inner.borrow_mut().open_span(span) {
+            record.attrs.push((key, value));
         }
     }
 }
@@ -455,6 +488,23 @@ mod tests {
         assert_eq!(spans[0].attrs.len(), 2);
         assert_eq!(r.events().len(), 1);
         assert_eq!(r.track_names()[&3], "vm3@node1");
+    }
+
+    #[test]
+    fn ended_spans_ignore_late_ends_and_attrs() {
+        let r = MemRecorder::new();
+        let a = r.span_begin(TrackId(1), "a", 0, &[]);
+        let b = r.span_begin(TrackId(1), "b", 5, &[]);
+        r.span_end(a, 10);
+        r.span_end(a, 99); // already ended: the first end stands
+        r.span_attr(a, "late", AttrValue::Bool(true)); // after end: dropped
+        r.span_end(SpanId::NULL, 20);
+        r.span_end(SpanId(7), 20); // never begun here
+        assert_eq!(r.open_span_count(), 1);
+        let spans = r.spans();
+        assert_eq!(spans[0].end_us, Some(10));
+        assert!(spans[0].attrs.is_empty());
+        assert_eq!((spans[1].id, spans[1].end_us), (b, None));
     }
 
     #[test]

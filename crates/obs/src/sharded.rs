@@ -40,7 +40,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::recorder::{Attr, AttrValue, EventRecord, Recorder, SpanId, SpanRecord, TrackId};
+use crate::recorder::{
+    Attr, AttrValue, EventRecord, Recorder, SampleSeries, SpanId, SpanRecord, TrackId,
+};
 
 /// One logged recorder call. Ops that carry no timestamp of their own
 /// (counters, span attributes) inherit the shard's most recent
@@ -112,6 +114,7 @@ pub(crate) fn replay_ops(mut ops: Vec<StampedOp>) -> MergedTrace {
 
     let mut out = MergedTrace::default();
     let mut metrics = MetricsRegistry::default();
+    let mut series = SampleSeries::default();
     let mut open: HashMap<u64, usize> = HashMap::new();
     for StampedOp { t_us, op, .. } in ops {
         match op {
@@ -120,11 +123,9 @@ pub(crate) fn replay_ops(mut ops: Vec<StampedOp>) -> MergedTrace {
             Op::GaugeMax { name, value } => metrics.gauge_max(name, value),
             Op::HistRecord { name, value } => metrics.histogram_record(name, value),
             Op::CounterSample { name, value } => {
-                metrics.gauge_set(name, value);
-                out.counter_series
-                    .entry(name)
-                    .or_default()
-                    .push((t_us, value));
+                if series.push(name, t_us, value) {
+                    metrics.gauge_set(name, value);
+                }
             }
             Op::TrackName { track, name } => {
                 out.track_names.insert(track, name);
@@ -164,6 +165,7 @@ pub(crate) fn replay_ops(mut ops: Vec<StampedOp>) -> MergedTrace {
         }
     }
     out.open_spans = open.len();
+    out.counter_series = series.into_map();
     out.metrics = metrics.snapshot();
     out
 }

@@ -66,7 +66,8 @@ pub fn chrome_trace(rec: &MemRecorder) -> Value {
         &buffers.spans,
         &buffers.events,
         &buffers.track_names,
-        &buffers.counter_series,
+        &buffers.series.sorted(),
+        THREADED_MIN_EVENTS,
     )
 }
 
@@ -77,24 +78,73 @@ impl MergedTrace {
             &self.spans,
             &self.events,
             &self.track_names,
-            &self.counter_series,
+            &self
+                .counter_series
+                .iter()
+                .map(|(&name, points)| (name, points.as_slice()))
+                .collect::<Vec<_>>(),
+            THREADED_MIN_EVENTS,
         )
     }
 }
 
+/// Counter-sample series in name order, borrowed.
+type SeriesView<'a> = [(&'static str, &'a [(u64, f64)])];
+
+/// Traces with fewer events than this render on the calling thread
+/// alone: starting a thread costs more than it saves on a small trace.
+const THREADED_MIN_EVENTS: usize = 1 << 14;
+
 /// Build the trace document from raw recorder buffers: the one Chrome
 /// renderer. Each event is built once and moved into a `traceEvents`
 /// vector sized exactly up front, so no part of the tree is copied.
+///
+/// A trace of at least `threaded_min_events` events renders in two parts
+/// at once: the timeline (metadata, spans, instants) on the calling
+/// thread and the counter samples on a scoped thread. The parts are
+/// appended in that order, so the document is the same either way.
 fn chrome_trace_parts(
     spans: &[SpanRecord],
     instants: &[EventRecord],
     track_names: &BTreeMap<u64, String>,
-    counter_series: &BTreeMap<&'static str, Vec<(u64, f64)>>,
+    counter_series: &SeriesView<'_>,
+    threaded_min_events: usize,
 ) -> Value {
-    let samples: usize = counter_series.values().map(Vec::len).sum();
-    let mut events: Vec<Value> =
-        Vec::with_capacity(1 + track_names.len() + spans.len() + instants.len() + samples);
+    let samples: usize = counter_series.iter().map(|(_, points)| points.len()).sum();
+    let total = 1 + track_names.len() + spans.len() + instants.len() + samples;
+    let timeline = || {
+        let mut events = Vec::with_capacity(total);
+        timeline_events(&mut events, spans, instants, track_names);
+        events
+    };
+    let counters = || counter_events(counter_series, samples);
+    let (mut events, counters) = if total >= threaded_min_events {
+        std::thread::scope(|scope| {
+            let counters = scope.spawn(counters);
+            let events = timeline();
+            let counters = counters
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (events, counters)
+        })
+    } else {
+        (timeline(), counters())
+    };
+    events.extend(counters);
 
+    object([
+        ("traceEvents", Value::Array(events)),
+        ("displayTimeUnit", json!("ms")),
+    ])
+}
+
+/// The process and thread names, then every span and instant.
+fn timeline_events(
+    events: &mut Vec<Value>,
+    spans: &[SpanRecord],
+    instants: &[EventRecord],
+    track_names: &BTreeMap<u64, String>,
+) {
     events.push(object([
         ("ph", json!("M")),
         ("name", json!("process_name")),
@@ -142,8 +192,12 @@ fn chrome_trace_parts(
             ("args", args_json(&event.attrs, None)),
         ]));
     }
+}
 
-    for (name, series) in counter_series {
+/// One `"C"` event per counter sample, series in name order.
+fn counter_events(counter_series: &SeriesView<'_>, samples: usize) -> Vec<Value> {
+    let mut events = Vec::with_capacity(samples);
+    for &(name, series) in counter_series {
         for &(t_us, value) in series {
             events.push(object([
                 ("ph", json!("C")),
@@ -155,11 +209,7 @@ fn chrome_trace_parts(
             ]));
         }
     }
-
-    object([
-        ("traceEvents", Value::Array(events)),
-        ("displayTimeUnit", json!("ms")),
-    ])
+    events
 }
 
 /// Write an already-built trace document to `path`.
@@ -284,6 +334,50 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&merged.chrome_trace()).unwrap(),
             GOLDEN
+        );
+    }
+
+    /// A recorder past [`THREADED_MIN_EVENTS`], so `chrome_trace` takes
+    /// the two-thread path: spans (some open, some with late attrs),
+    /// instants and several interleaved counter series.
+    fn large_recorder() -> MemRecorder {
+        let rec = golden_recorder();
+        let series = ["ts.b", "net.util", "ts.a"];
+        for i in 0..THREADED_MIN_EVENTS as u64 / 2 {
+            let span = rec.span_begin(TrackId(i % 5), "map", i, &[("task", AttrValue::U64(i))]);
+            if i % 7 != 0 {
+                rec.span_attr(span, "late", AttrValue::Bool(i % 2 == 0));
+                rec.span_end(span, i + 3);
+            }
+            if i % 3 == 0 {
+                rec.event("admit", i, None, &[]);
+            }
+            rec.counter_sample(series[i as usize % 3], i, i as f64 / 4.0);
+        }
+        rec
+    }
+
+    #[test]
+    fn threaded_render_matches_inline_render() {
+        let rec = large_recorder();
+        let inline = {
+            let buffers = rec.buffers();
+            chrome_trace_parts(
+                &buffers.spans,
+                &buffers.events,
+                &buffers.track_names,
+                &buffers.series.sorted(),
+                usize::MAX,
+            )
+        };
+        let inline = serde_json::to_string(&inline).unwrap();
+        let threaded = chrome_trace(&rec);
+        assert!(threaded["traceEvents"].as_array().unwrap().len() >= THREADED_MIN_EVENTS);
+        assert_eq!(serde_json::to_string(&threaded).unwrap(), inline);
+        let merged = large_recorder().into_trace();
+        assert_eq!(
+            serde_json::to_string(&merged.chrome_trace()).unwrap(),
+            inline
         );
     }
 
